@@ -105,15 +105,8 @@ def jordan_factor_matrix(r: int, a: complex) -> LaurentMatrix:
     """The constant Jordan block A_r(a): a on the diagonal, 1 above it."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    a = complex(a)
-    rows = [
-        [
-            LaurentPoly.constant(a) if i == j else (LaurentPoly.one() if j == i + 1 else LaurentPoly.zero())
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    return LaurentMatrix(rows, prune=False)
+    block = complex(a) * np.eye(r, dtype=complex) + np.eye(r, k=1, dtype=complex)
+    return LaurentMatrix._from_coeffs(0, block[None], prune=False)
 
 
 def phi0(t: Torus) -> LaurentPoly:

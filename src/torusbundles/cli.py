@@ -40,7 +40,7 @@ from .cocycle import (
     iterate,
 )
 from .functors import clebsch_gordan_F, dual, sym_power, tensor, wedge_power
-from .isogeny import IsogenyContext, pullback, pushforward, roundtrip_diag
+from .isogeny import IsogenyContext, _check_degree, pullback, pushforward, roundtrip_diag
 from .classify import (
     degree,
     descriptor_to_json,
@@ -176,6 +176,7 @@ def _cmd_pullback(args) -> int:
 
 
 def _ctx_from_cover(cover: Torus, r: int) -> IsogenyContext:
+    _check_degree(r)
     return IsogenyContext(Torus(cover.tau / r), cover, r)
 
 

@@ -53,6 +53,7 @@ def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
     if n < 0:
         raise ValueError(f"symmetric power needs n >= 0, got {n}")
     r = f.A.n
+    a = f.A.rows()
     basis = list(_exponent_tuples(r, n))
     position = {mu: i for i, mu in enumerate(basis)}
     zero = LaurentPoly.zero()
@@ -65,7 +66,7 @@ def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
                 nxt: dict[tuple[int, ...], LaurentPoly] = {}
                 for mono, coeff in expansion.items():
                     for i in range(r):
-                        e = f.A.entry(i, j)
+                        e = a[i][j]
                         if e.is_zero:
                             continue
                         key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
@@ -85,12 +86,13 @@ def wedge_power(f: FactorOfAutomorphy, k: int) -> FactorOfAutomorphy:
     n = f.A.n
     if not 0 <= k <= n:
         raise ValueError(f"wedge power needs 0 <= k <= {n}, got {k}")
+    a = f.A.rows()
     subsets = list(itertools.combinations(range(n), k))
     rows = []
     for rows_idx in subsets:
         out_row = []
         for cols_idx in subsets:
-            sub = [[f.A.entry(i, j) for j in cols_idx] for i in rows_idx]
+            sub = [[a[i][j] for j in cols_idx] for i in rows_idx]
             out_row.append(LaurentMatrix(sub).det() if k else LaurentPoly.one())
         rows.append(out_row)
     return FactorOfAutomorphy(f.torus, LaurentMatrix(rows))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .laurent import LaurentMatrix, LaurentPoly, Torus, _require_same_torus
+from .laurent import LaurentMatrix, Torus, _assemble, _require_same_torus
 from .cocycle import FactorOfAutomorphy, iterate
 
 __all__ = [
@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+def _check_degree(r) -> None:
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"isogeny degree must be a positive integer, got {r!r}")
+
+
 @dataclass(frozen=True)
 class IsogenyContext:
     """Base and cover tori for the isogeny of multiplicative degree r."""
@@ -35,8 +40,7 @@ class IsogenyContext:
     r: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"isogeny degree must be a positive integer, got {self.r!r}")
+        _check_degree(self.r)
         want = self.r * self.base.tau
         if abs(self.cover.tau - want) > 1e-9 * (1.0 + abs(want)):
             raise ValueError(
@@ -45,8 +49,7 @@ class IsogenyContext:
 
     @classmethod
     def for_degree(cls, base: Torus, r: int) -> "IsogenyContext":
-        if not isinstance(r, int) or r < 1:
-            raise ValueError(f"isogeny degree must be a positive integer, got {r!r}")
+        _check_degree(r)
         return cls(base, Torus(r * base.tau), r)
 
 
@@ -67,16 +70,7 @@ def companion_block(a: LaurentMatrix, r: int) -> LaurentMatrix:
     if r == 1:
         return a
     n = a.n
-    total = r * n
-    zero = LaurentPoly.zero()
-    one = LaurentPoly.one()
-    rows = [[zero] * total for _ in range(total)]
-    for i in range((r - 1) * n):
-        rows[i][n + i] = one
-    for i in range(n):
-        for j in range(n):
-            rows[(r - 1) * n + i][j] = a.entry(i, j)
-    return LaurentMatrix(rows, prune=False)
+    return _assemble(r * n, [(0, n, LaurentMatrix.identity((r - 1) * n)), ((r - 1) * n, 0, a)])
 
 
 def pushforward(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:

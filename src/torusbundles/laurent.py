@@ -11,6 +11,13 @@ exponents, double precision complex coefficients.  After every arithmetic
 operation coefficients smaller than ``PRUNE_REL`` times the largest one
 (taken over the whole matrix, for matrix operations) are dropped, so
 supports stay finite and exactly representable.
+
+A scalar is a LaurentPoly, a dict from exponent to coefficient.  A
+LaurentMatrix is its lowest exponent plus one dense complex array of
+shape (K, n, n), coefficient slices of consecutive exponents: products
+loop over the K shifts of a batched matrix product, substitution u -> c u
+multiplies by the weights c^k, and det and the inverse of a monomial det
+matrix are sampled on roots of unity and recovered by an inverse FFT.
 """
 
 from __future__ import annotations
@@ -344,31 +351,67 @@ def poly_close(a: LaurentPoly, b: LaurentPoly, tol: float = CLOSE_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _poly_from_values(lo: int, values: Sequence[complex]) -> LaurentPoly:
+    """The polynomial sum_k values[k] u^(lo + k), zeros dropped, no pruning."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._c = {lo + k: v for k, v in enumerate(values) if v}
+    return p
+
+
 class LaurentMatrix:
     """A square matrix with LaurentPoly entries.
 
+    Stored as the lowest exponent ``lo`` and one complex array of shape
+    (K, n, n) whose slice k holds the coefficients of u^(lo + k); the
+    first and last slices are nonzero, and the zero matrix has K = 0.
     Treated as immutable; all operations return new matrices.  Matrix
     level operations prune coefficients relative to the largest
     coefficient of the whole result, not entry by entry.
     """
 
-    __slots__ = ("_rows", "_det")
+    __slots__ = ("_lo", "_c", "_det")
 
     def __init__(self, rows: Sequence[Sequence], prune: bool = True):
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
-        coerced = []
+        entries = []
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in size {n}")
-            coerced.append([self._coerce(e) for e in row])
-        if prune:
-            gmax = max((e.max_coeff() for row in coerced for e in row), default=0.0)
-            thr = PRUNE_REL * gmax
-            coerced = [[LaurentPoly(dict(e._c), threshold=thr) for e in row] for row in coerced]
-        self._rows = tuple(tuple(row) for row in coerced)
+            entries.append([self._coerce(e) for e in row])
+        exps = [k for row in entries for p in row for k in p._c]
+        lo = min(exps, default=0)
+        c = np.zeros((max(exps, default=lo - 1) - lo + 1, n, n), dtype=complex)
+        for i, row in enumerate(entries):
+            for j, p in enumerate(row):
+                for k, v in p._c.items():
+                    c[k - lo, i, j] = v
+        self._set(lo, c, prune)
+
+    def _set(self, lo: int, c: np.ndarray, prune: bool) -> None:
+        n = c.shape[1]
+        if prune and c.size:
+            mag = np.abs(c)
+            top = float(mag.max())
+            if not math.isfinite(top):
+                raise ValueError(f"non-finite coefficient in a {n} x {n} matrix")
+            c = np.where(mag > PRUNE_REL * top, c, 0)
+        live = np.flatnonzero(c.reshape(len(c), n * n).any(axis=1))
+        if live.size == 0:
+            lo, c = 0, c[:0]
+        else:
+            lo, c = lo + int(live[0]), c[live[0]:live[-1] + 1]
+        self._lo = lo
+        self._c = c
         self._det: Optional[LaurentPoly] = None
+
+    @classmethod
+    def _from_coeffs(cls, lo: int, c: np.ndarray, prune: bool = True) -> "LaurentMatrix":
+        """The matrix sum_k c[k] u^(lo + k) from a (K, n, n) array it owns."""
+        m = cls.__new__(cls)
+        m._set(lo, c, prune)
+        return m
 
     @staticmethod
     def _coerce(e) -> LaurentPoly:
@@ -381,18 +424,18 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "LaurentMatrix":
-        return cls([[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)], prune=False)
+        return cls._from_coeffs(0, np.eye(n, dtype=complex)[None], prune=False)
 
     @classmethod
     def zeros(cls, n: int) -> "LaurentMatrix":
-        return cls([[LaurentPoly.zero()] * n for _ in range(n)], prune=False)
+        return cls._from_coeffs(0, np.zeros((0, n, n), dtype=complex), prune=False)
 
     @classmethod
     def from_constant(cls, arr) -> "LaurentMatrix":
-        a = np.asarray(arr, dtype=complex)
+        a = np.array(arr, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square array, got shape {a.shape}")
-        return cls([[LaurentPoly.constant(a[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])])
+        return cls._from_coeffs(0, a[None])
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "LaurentMatrix":
@@ -404,82 +447,107 @@ class LaurentMatrix:
 
     @property
     def n(self) -> int:
-        return len(self._rows)
+        return self._c.shape[1]
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return self._rows[i][j]
+        return _poly_from_values(self._lo, self._c[:, i, j].tolist())
 
     def rows(self) -> list[list[LaurentPoly]]:
-        return [list(row) for row in self._rows]
+        return [[_poly_from_values(self._lo, v) for v in row] for row in self._c.transpose(1, 2, 0).tolist()]
 
     def max_coeff(self) -> float:
-        return max((e.max_coeff() for row in self._rows for e in row), default=0.0)
+        return float(np.abs(self._c).max()) if self._c.size else 0.0
 
     def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self._rows for e in row)
+        return len(self._c) == 0 or (len(self._c) == 1 and self._lo == 0)
 
     def constant_matrix(self) -> np.ndarray:
         if not self.is_constant():
             raise ValueError("matrix has non-constant entries")
-        return np.array([[e.constant_value() for e in row] for row in self._rows], dtype=complex)
+        return self._c[0].copy() if len(self._c) else np.zeros((self.n, self.n), dtype=complex)
 
     # -- arithmetic ---------------------------------------------------------
+
+    def _combine(self, other: "LaurentMatrix", sign: int) -> "LaurentMatrix":
+        self._check_size(other)
+        lo = min(self._lo, other._lo)
+        hi = max(self._lo + len(self._c), other._lo + len(other._c))
+        out = np.zeros((hi - lo, self.n, self.n), dtype=complex)
+        out[self._lo - lo:self._lo - lo + len(self._c)] += self._c
+        out[other._lo - lo:other._lo - lo + len(other._c)] += sign * other._c
+        return LaurentMatrix._from_coeffs(lo, out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        self._check_size(other)
-        return LaurentMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        self._check_size(other)
-        return LaurentMatrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)])
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return LaurentMatrix([[-e for e in row] for row in self._rows], prune=False)
+        return LaurentMatrix._from_coeffs(self._lo, -self._c, prune=False)
 
     def __matmul__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         self._check_size(other)
-        n = self.n
-        cols = list(zip(*other._rows))
-        out = []
-        for row in self._rows:
-            out_row = []
-            for col in cols:
-                acc = LaurentPoly.zero()
-                for a, b in zip(row, col):
-                    if a._c and b._c:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return LaurentMatrix(out)
+        a, b = self._c, other._c
+        if not len(a) or not len(b):
+            return LaurentMatrix.zeros(self.n)
+        out = np.zeros((len(a) + len(b) - 1, self.n, self.n), dtype=complex)
+        # one batched product per shift of the shorter factor
+        if len(a) <= len(b):
+            for i in range(len(a)):
+                out[i:i + len(b)] += a[i] @ b
+        else:
+            for j in range(len(b)):
+                out[j:j + len(a)] += a @ b[j]
+        return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
 
     def scaled(self, factor) -> "LaurentMatrix":
         """Multiply every entry by a scalar or a LaurentPoly."""
-        f = self._coerce(factor)
-        return LaurentMatrix([[e * f for e in row] for row in self._rows])
+        return LaurentMatrix([[factor]]).kron(self)
 
     def substitute_scaled(self, c: complex) -> "LaurentMatrix":
-        return LaurentMatrix([[e.substitute_scaled(c) for e in row] for row in self._rows], prune=False)
+        """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k.
+
+        No pruning, as for LaurentPoly.substitute_scaled.  The weights
+        c^k are Python powers, which raise OverflowError past the double
+        range; a coefficient that overflows in the product raises
+        ValueError.
+        """
+        c = complex(c)
+        if c == 0:
+            raise ValueError("substitution scale must be nonzero")
+        weights = np.array([c ** k for k in range(self._lo, self._lo + len(self._c))], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._c * weights[:, None, None]
+        if not np.isfinite(out).all():
+            raise ValueError(f"non-finite coefficient after substituting u -> {c} u")
+        return LaurentMatrix._from_coeffs(self._lo, out, prune=False)
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix([list(col) for col in zip(*self._rows)], prune=False)
+        return LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1), prune=False)
 
     def eval_at(self, u0: complex) -> np.ndarray:
-        return np.array([[e(u0) for e in row] for row in self._rows], dtype=complex)
+        u0 = complex(u0)
+        powers = np.array([u0 ** k for k in range(self._lo, self._lo + len(self._c))], dtype=complex)
+        return np.tensordot(powers, self._c, axes=1)
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product, row major block layout."""
         n, m = self.n, other.n
-        rows = []
-        for i in range(n):
-            for k in range(m):
-                rows.append([self._rows[i][j] * other._rows[k][l] for j in range(n) for l in range(m)])
-        return LaurentMatrix(rows)
+        a, b = self._c, other._c
+        if not len(a) or not len(b):
+            return LaurentMatrix.zeros(n * m)
+        out = np.zeros((len(a) + len(b) - 1, n * m, n * m), dtype=complex)
+        for i in range(len(a)):
+            block = a[i][None, :, None, :, None] * b[:, None, :, None, :]
+            out[i:i + len(b)] += block.reshape(len(b), n * m, n * m)
+        return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
 
     def _check_size(self, other: "LaurentMatrix") -> None:
         if self.n != other.n:
@@ -487,45 +555,59 @@ class LaurentMatrix:
 
     # -- determinant and inverse -------------------------------------------
 
+    def _row_extremes(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Lowest and highest exponent of each row, None for a zero row."""
+        live = self._c.any(axis=2)
+        if not live.any(axis=0).all():
+            return None
+        first = live.argmax(axis=0)
+        last = len(live) - 1 - live[::-1].argmax(axis=0)
+        return self._lo + first, self._lo + last
+
+    def _at_roots(self, width: int) -> np.ndarray:
+        """Values at the roots of unity exp(2 pi i t / width), shape (width, n, n)."""
+        k, n = len(self._c), self.n
+        exps = (np.arange(width)[:, None] * np.arange(self._lo, self._lo + k)) % width
+        w = np.exp((2j * np.pi / width) * exps)
+        return (w @ self._c.reshape(k, n * n)).reshape(width, n, n)
+
     def det(self) -> LaurentPoly:
         """Determinant as a LaurentPoly.
 
-        Laplace expansion with subset caching up to size 8; beyond that
-        the determinant is sampled on roots of unity and recovered by
-        FFT interpolation, which is backward stable where fraction free
-        elimination is not over float coefficients.
+        The support of det lies in the window between the sums of the
+        rows' lowest and highest exponents.  det is sampled on the roots
+        of unity of that window, each sample by elimination, and its
+        coefficients recovered by an inverse FFT.  It is identically zero
+        only when every sample is exactly 0.
         """
         if self._det is None:
-            if self.n <= 8:
-                self._det = _det_laplace(self._rows)
+            ext = self._row_extremes()
+            if ext is None:
+                self._det = LaurentPoly.zero()
             else:
-                self._det = _det_eval_interp(self._rows)
+                lo, hi = int(ext[0].sum()), int(ext[1].sum())
+                vals = np.array([_pivot_det(m) for m in self._at_roots(hi - lo + 1).tolist()])
+                self._det = LaurentPoly(dict(zip(range(lo, hi + 1), _interpolate(vals, lo).tolist())))
         return self._det
 
-    def adjugate(self) -> "LaurentMatrix":
-        n = self.n
-        if n == 1:
-            return LaurentMatrix([[LaurentPoly.one()]], prune=False)
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [[self._rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-                cof = _det_laplace(tuple(tuple(r) for r in minor))
-                adj[i][j] = cof if (i + j) % 2 == 0 else -cof
-        return LaurentMatrix(adj)
-
     def inverse_monomial_det(self) -> "LaurentMatrix":
-        """Inverse over the Laurent ring; requires det to be a monomial."""
+        """Inverse over the Laurent ring; requires det to be a monomial.
+
+        Entry (i, j) is a cofactor that omits row j, divided by det =
+        c u^k, so its support lies in [sum(lows) - max(lows) - k,
+        sum(highs) - min(highs) - k]; the inverse is sampled on the roots
+        of unity of that window and interpolated like det.
+        """
         mono = self.det().is_monomial()
         if mono is None:
             raise NotInvertibleInRing(
                 f"det = {self.det()} is not a monomial, so the matrix has no inverse with Laurent entries"
             )
-        k, c = mono
-        unit_inv = LaurentPoly.monomial(-k, 1.0 / c)
-        if self.n <= 8:
-            return self.adjugate().scaled(unit_inv)
-        return _inverse_by_interpolation(self, k, c)
+        lows, highs = self._row_extremes()
+        lo = int(lows.sum() - lows.max()) - mono[0]
+        hi = int(highs.sum() - highs.min()) - mono[0]
+        vals = np.linalg.inv(self._at_roots(hi - lo + 1))
+        return LaurentMatrix._from_coeffs(lo, _interpolate(vals, lo))
 
     # -- io and display -----------------------------------------------------
 
@@ -537,112 +619,43 @@ class LaurentMatrix:
         return matrix_from_json(data)
 
     def __repr__(self):
-        body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self._rows)
+        body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows())
         return f"LaurentMatrix[{body}]"
 
 
-# ---------------------------------------------------------------------------
-# determinant backends
-# ---------------------------------------------------------------------------
+def _pivot_det(m: list[list[complex]]) -> complex:
+    """Determinant of one sample, the signed product of the pivots of
+    Gaussian elimination with partial pivoting; overwrites ``m``.  A
+    pivot of exactly 0 makes the determinant exactly 0."""
+    n = len(m)
+    det = 1.0 + 0j
+    for k in range(n):
+        col = [abs(row[k]) for row in m[k:]]
+        p = k + col.index(max(col))
+        piv = m[p][k]
+        if piv == 0:
+            return 0j
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= piv
+        top = m[k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            if f:
+                f /= piv
+                m[i] = [x - f * y for x, y in zip(m[i], top)]
+    return det
 
 
-def _det_laplace(rows) -> LaurentPoly:
-    """Expansion along rows with caching over column subsets, O(n 2^n)."""
-    n = len(rows)
-    prev = {0: LaurentPoly.one()}
-    for i in range(n):
-        cur: dict[int, LaurentPoly] = {}
-        for mask, val in prev.items():
-            if val.is_zero:
-                continue
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                e = rows[i][j]
-                if not e._c:
-                    continue
-                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
-                term = val * e
-                if sign < 0:
-                    term = -term
-                nm = mask | bit
-                cur[nm] = term if nm not in cur else cur[nm] + term
-        prev = cur
-        if not prev:
-            return LaurentPoly.zero()
-    return prev.get((1 << n) - 1, LaurentPoly.zero())
-
-
-def _det_eval_interp(rows) -> LaurentPoly:
-    """Determinant by evaluation on roots of unity and FFT interpolation.
-
-    The support of det is bounded by the sums of per row extreme
-    exponents, so sampling one full window W of roots of unity determines
-    every coefficient.  A nonzero det of that support has at most W - 1
-    zeros in C*, so when every sampled matrix is numerically rank
-    deficient the determinant is identically zero.
-    """
-    lo = hi = 0
-    for row in rows:
-        exps = [e for p in row if p._c for e in (p.min_exp, p.max_exp)]
-        if not exps:
-            return LaurentPoly.zero()
-        lo += min(exps)
-        hi += max(exps)
-    width = hi - lo + 1
-    vals = np.empty(width, dtype=complex)
-    singular_everywhere = True
-    for t in range(width):
-        u = cmath.exp(2j * cmath.pi * t / width)
-        m = np.array([[p(u) for p in row] for row in rows], dtype=complex)
-        if singular_everywhere:
-            s = np.linalg.svd(m, compute_uv=False)
-            if s[0] != 0.0 and s[-1] > 1e-10 * s[0]:
-                singular_everywhere = False
-        vals[t] = np.linalg.det(m)
-    if singular_everywhere:
-        return LaurentPoly.zero()
-    coeffs = np.fft.fft(vals) / width
-    entry: dict[int, complex] = {}
-    for t in range(width):
-        k = (t - lo) % width + lo
-        c = coeffs[t]
-        if c != 0:
-            entry[k] = entry.get(k, 0j) + c
-    return LaurentPoly(entry)
-
-
-def _inverse_by_interpolation(mat: LaurentMatrix, det_k: int, det_c: complex) -> LaurentMatrix:
-    """Inverse of a monomial det matrix, entries recovered from values on
-    roots of unity.  Used above the Laplace size cutoff."""
-    n = mat.n
-    rowmin, rowmax = [], []
-    for row in mat._rows:
-        exps = [e for p in row if p._c for e in (p.min_exp, p.max_exp)]
-        rowmin.append(min(exps))
-        rowmax.append(max(exps))
-    lo = sum(rowmin) - max(rowmin) - det_k
-    hi = sum(rowmax) - min(rowmax) - det_k
-    width = hi - lo + 1
-    samples = np.array([cmath.exp(2j * cmath.pi * t / width) for t in range(width)])
-    vals = np.stack([np.linalg.inv(mat.eval_at(u)) for u in samples])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = np.fft.fft(vals[:, i, j]) / width
-            # fft bin t collects the exponents congruent to t mod width;
-            # the support fits in one width window, so remap into [lo, hi]
-            entry = {}
-            for t in range(width):
-                k = (t - lo) % width + lo
-                c = coeffs[t]
-                if c != 0:
-                    entry[k] = entry.get(k, 0j) + c
-            row.append(LaurentPoly(entry))
-        rows.append(row)
-    return LaurentMatrix(rows)
+def _interpolate(vals: np.ndarray, lo: int) -> np.ndarray:
+    """Coefficients of u^lo .. u^(lo + W - 1) from the values at the W
+    roots of unity along axis 0: FFT bin t collects the exponents
+    congruent to t mod W, and the support fits in one window."""
+    width = len(vals)
+    if width == 1:
+        return vals
+    return (np.fft.fft(vals, axis=0) / width)[(lo + np.arange(width)) % width]
 
 
 # ---------------------------------------------------------------------------
@@ -658,36 +671,39 @@ def matrices_close(a: LaurentMatrix, b: LaurentMatrix, tol: float = CLOSE_TOL) -
     return (a - b).max_coeff() <= tol * scale
 
 
+def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]]) -> LaurentMatrix:
+    """A total x total matrix holding each (row, col, block) of ``parts``
+    with its top left corner at (row, col), zero elsewhere; no pruning."""
+    live = [(r, c, b) for r, c, b in parts if len(b._c)]
+    lo = min((b._lo for _, _, b in live), default=0)
+    hi = max((b._lo + len(b._c) for _, _, b in live), default=lo)
+    out = np.zeros((hi - lo, total, total), dtype=complex)
+    for r, c, b in live:
+        out[b._lo - lo:b._lo - lo + len(b._c), r:r + b.n, c:c + b.n] = b._c
+    return LaurentMatrix._from_coeffs(lo, out, prune=False)
+
+
 def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     if not blocks:
         raise ValueError("need at least one block")
-    total = sum(b.n for b in blocks)
-    rows = [[LaurentPoly.zero()] * total for _ in range(total)]
-    off = 0
-    for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[off + i][off + j] = b.entry(i, j)
-        off += b.n
-    return LaurentMatrix(rows, prune=False)
+    offsets = np.cumsum([0] + [b.n for b in blocks]).tolist()
+    return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
 
 
 def passes_sampled_invertibility(mat: LaurentMatrix, samples: int = 16) -> bool:
     """Necessary condition for invertibility of u -> mat(u) on C*.
 
-    Evaluates det on equally spaced points of the unit circle and flags
-    matrices whose determinant is zero, or degenerates by more than nine
-    orders of magnitude between sample points.  Scale free, so tiny but
-    honest determinants (for instance high powers of q) pass.
+    Takes the determinants of mat at equally spaced points of the unit
+    circle and flags matrices whose determinant is zero there, or
+    degenerates by more than nine orders of magnitude between sample
+    points.  Scale free, so tiny but honest determinants (for instance
+    high powers of q) pass.
     """
-    d = mat.det()
-    if d.is_zero:
+    vals = np.abs(np.linalg.det(mat._at_roots(samples)))
+    top = vals.max()
+    if not top > 0.0:
         return False
-    vals = [abs(d(cmath.exp(2j * cmath.pi * t / samples))) for t in range(samples)]
-    top = max(vals)
-    if top == 0.0:
-        return False
-    return min(vals) > 1e-9 * top
+    return bool(vals.min() > 1e-9 * top)
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +721,20 @@ def torus_from_json(data: dict) -> Torus:
 
 
 def matrix_to_json(mat: LaurentMatrix) -> dict:
-    entries = []
-    for row in mat._rows:
-        for e in row:
-            entries.append([{"k": k, "re": c.real, "im": c.imag} for k, c in e.terms()])
+    entries = [
+        [{"k": mat._lo + k, "re": v.real, "im": v.imag} for k, v in enumerate(values) if v]
+        for row in mat._c.transpose(1, 2, 0).tolist()
+        for values in row
+    ]
     return {"n": mat.n, "entries": entries}
+
+
+def _exponent_from_json(k) -> int:
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"exponent must be an integer, got {k!r}")
+    return k
 
 
 def matrix_from_json(data: dict) -> LaurentMatrix:
@@ -717,12 +742,8 @@ def matrix_from_json(data: dict) -> LaurentMatrix:
     entries = data["entries"]
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for size {n}, got {len(entries)}")
-    rows = []
-    it = iter(entries)
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            terms = next(it)
-            row.append(LaurentPoly({int(t["k"]): complex(float(t["re"]), float(t["im"])) for t in terms}))
-        rows.append(row)
-    return LaurentMatrix(rows, prune=False)
+    polys = [
+        LaurentPoly({_exponent_from_json(t["k"]): complex(float(t["re"]), float(t["im"])) for t in terms})
+        for terms in entries
+    ]
+    return LaurentMatrix([polys[i * n:(i + 1) * n] for i in range(n)], prune=False)

@@ -150,6 +150,19 @@ def test_atiyah_construct_matches_normal_form(any_torus):
         assert matrices_close(lhs.A, rhs.A, 1e-12)
 
 
+def test_normal_forms_above_rank_8(any_torus):
+    # rows carrying phi0^d' put the raw samples of det far apart in scale;
+    # the sampled invertibility check and degree must still hold there
+    a = 0.6 + 0.2j
+    for r in range(9, 17):
+        for d in range(-8, 9):
+            f = normal_form(any_torus, r, d, a)
+            g = atiyah_construct(any_torus, r, d, a)
+            assert (rank(f), rank(g)) == (r, r)
+            assert (degree(f), degree(g)) == (d, d)
+            assert matrices_close(f.A, g.A, 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # degree
 # ---------------------------------------------------------------------------

@@ -271,6 +271,23 @@ def test_bad_tau_is_domain_error(capsys, monkeypatch):
     assert "ValueError" in err
 
 
+def test_zero_isogeny_degree_is_domain_error(capsys, monkeypatch):
+    _, factor, _ = run(capsys, monkeypatch, [
+        "normal-form", "--tau", "0+1i", "-r", "2", "-d", "1", "-a", "1"])
+    for command in ("pushforward", "roundtrip"):
+        code, out, err = run(capsys, monkeypatch, [command, "-r", "0"], stdin=factor)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["ValueError: isogeny degree must be a positive integer, got 0"]
+
+
+def test_non_integer_exponent_is_domain_error(capsys, monkeypatch):
+    bad = {"torus": {"tau": [0.0, 1.0]},
+           "A": {"n": 1, "entries": [[{"k": 0.5, "re": 1.0, "im": 0.0}]]}}
+    code, out, err = run(capsys, monkeypatch, ["degree"], stdin=json.dumps(bad))
+    assert code == 1 and out == ""
+    assert "exponent must be an integer" in err
+
+
 def test_malformed_json_is_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["degree"], stdin="{not json")
     assert code == 1

@@ -1,5 +1,7 @@
 """Pullback, pushforward and the companion block identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from torusbundles import (
     companion_block,
     degree,
     iterate,
+    jordan_factor_matrix,
     matrices_close,
+    phi0,
     pullback,
     pushforward,
     rank,
@@ -171,3 +175,15 @@ def test_pushforward_rank_times_degree_bookkeeping(ctx):
     down = pushforward(ctx, f)
     assert (rank(f), degree(f)) == (1, 1)
     assert (rank(down), degree(down)) == (3, 1)
+
+
+def test_roundtrip_beyond_double_range_is_a_clean_error():
+    # the degree 15 cover of the rank 15, degree 8 normal form: the
+    # translates of phi0^8 carry |q|^(-8 i), i < 15, past the double range
+    base = Torus(1j)
+    ctx = IsogenyContext.for_degree(base, 15)
+    f = FactorOfAutomorphy(ctx.cover, jordan_factor_matrix(1, 0.6 + 0.2j).scaled(phi0(base) ** 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises((OverflowError, ValueError), match="complex exponentiation|non-finite coefficient"):
+            roundtrip_diag(ctx, f)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusbundles import (
+    FactorOfAutomorphy,
     LaurentMatrix,
     LaurentPoly,
     NotInvertibleInRing,
     Torus,
     block_diagonal,
+    iterate,
     matrices_close,
     matrix_from_json,
     matrix_to_json,
@@ -20,9 +22,13 @@ from torusbundles import (
     torus_from_json,
     torus_to_json,
 )
-from torusbundles.laurent import _det_eval_interp, _det_laplace
 
-from helpers import random_laurent, random_laurent_matrix, random_monomial_det_matrix
+from helpers import (
+    random_laurent,
+    random_laurent_matrix,
+    random_monomial_det_matrix,
+    random_single_exponent_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +169,41 @@ def test_det_multiplicative(rng):
         assert poly_close((a @ b).det(), a.det() * b.det(), 1e-8)
 
 
-def test_det_interpolation_matches_laplace(rng):
-    for _ in range(3):
-        m = random_laurent_matrix(rng, 9, lo=-1, hi=1, max_terms=2)
-        rows = tuple(tuple(row) for row in m.rows())
-        assert poly_close(_det_eval_interp(rows), _det_laplace(rows), 1e-7)
+#: points of |u| = 1 off the roots of unity that the sampled det and inverse use
+_OFF_GRID = np.exp(2j * np.pi * np.array([0.1234, 0.4321, 0.777]))
+
+
+def test_det_matches_numpy_oracle(rng):
+    for n in range(9, 17):
+        m = random_laurent_matrix(rng, n, lo=-1, hi=1, max_terms=2)
+        d = m.det()
+        scale = sum(abs(c) for _, c in d.terms())
+        for u0 in _OFF_GRID:
+            assert abs(d(u0) - np.linalg.det(m.eval_at(u0))) <= 1e-9 * scale
     singular = LaurentMatrix([[random_laurent(rng, -1, 1)] * 9 for _ in range(9)])
-    assert _det_eval_interp(tuple(tuple(r) for r in singular.rows())).is_zero
+    assert singular.det().is_zero
+
+
+def test_inverse_and_iterate_match_numpy_at_rank_12(torus, rng):
+    a = random_monomial_det_matrix(rng, 3, -1, 1)
+    b = random_monomial_det_matrix(rng, 4, -1, 1)
+    big = a.kron(b)
+    inv = big.inverse_monomial_det()
+    for u0 in _OFF_GRID:
+        want = np.linalg.inv(big.eval_at(u0))
+        assert np.max(np.abs(inv.eval_at(u0) - want)) <= 1e-8 * (1 + np.max(np.abs(want)))
+    q = torus.q
+    forward = iterate(FactorOfAutomorphy(torus, big), 3)
+    g = random_single_exponent_matrix(rng, 12)
+    backward = iterate(FactorOfAutomorphy(torus, g), -2)
+    for u0 in _OFF_GRID:
+        want = big.eval_at(q * q * u0) @ big.eval_at(q * u0) @ big.eval_at(u0)
+        assert np.max(np.abs(forward.eval_at(u0) - want)) <= 1e-8 * (1 + np.max(np.abs(want)))
+        want = np.linalg.inv(g.eval_at(u0 / q) @ g.eval_at(u0 / (q * q)))
+        assert np.max(np.abs(backward.eval_at(u0) - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_det_size_switch_consistent_on_kron(rng):
-    # 9x9 kron of monomial det factors goes through the elimination path
     a = random_monomial_det_matrix(rng, 3, -1, 1)
     b = random_monomial_det_matrix(rng, 3, -1, 1)
     big = a.kron(b)
