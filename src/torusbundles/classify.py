@@ -126,6 +126,19 @@ def normal_form_deg0(t: Torus, r: int, a: complex) -> FactorOfAutomorphy:
     return FactorOfAutomorphy(t, jordan_factor_matrix(r, a))
 
 
+def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMatrix]:
+    """Validate (r, d, a) and split off h = gcd(r, d) (h = r when d = 0):
+    returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h."""
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"rank must be a positive integer, got {r!r}")
+    if not isinstance(d, int):
+        raise ValueError(f"degree must be an integer, got {d!r}")
+    if complex(a) == 0:
+        raise ValueError("param must be nonzero")
+    h = math.gcd(r, abs(d)) if d != 0 else r
+    return r // h, jordan_factor_matrix(h, a).scaled(_phi0_power(t, d // h))
+
+
 def normal_form(t: Torus, r: int, d: int, a: complex) -> FactorOfAutomorphy:
     """Indecomposable of rank r, degree d, parameter a != 0.
 
@@ -133,16 +146,7 @@ def normal_form(t: Torus, r: int, d: int, a: complex) -> FactorOfAutomorphy:
     generator is the block cyclic matrix [[0, I], [G, 0]] on blocks of
     size h, with G = phi0^d' A_h(a); for r' = 1 it is G itself.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(d, int):
-        raise ValueError(f"degree must be an integer, got {d!r}")
-    if complex(a) == 0:
-        raise ValueError("param must be nonzero")
-    h = math.gcd(r, abs(d)) if d != 0 else r
-    rp = r // h
-    dp = d // h
-    core = jordan_factor_matrix(h, a).scaled(_phi0_power(t, dp))
+    rp, core = _twisted_core(t, r, d, a)
     return FactorOfAutomorphy(t, companion_block(core, rp))
 
 
@@ -150,22 +154,13 @@ def atiyah_construct(t: Torus, r: int, d: int, a: complex) -> FactorOfAutomorphy
     """The same bundle as normal_form, built through the isogeny: the
     twisted Jordan factor lives on the degree r' cover and is pushed
     forward to the base."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(d, int):
-        raise ValueError(f"degree must be an integer, got {d!r}")
-    if complex(a) == 0:
-        raise ValueError("param must be nonzero")
-    h = math.gcd(r, abs(d)) if d != 0 else r
-    rp = r // h
-    dp = d // h
+    rp, core = _twisted_core(t, r, d, a)
     ctx = IsogenyContext.for_degree(t, rp)
-    core = jordan_factor_matrix(h, a).scaled(_phi0_power(t, dp))
     return pushforward(ctx, FactorOfAutomorphy(ctx.cover, core))
 
 
 def rank(f: FactorOfAutomorphy) -> int:
-    return f.A.n
+    return f.rank
 
 
 def degree(f: FactorOfAutomorphy) -> int:

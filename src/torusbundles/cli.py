@@ -373,7 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except (TorusBundleError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (TorusBundleError, ValueError, TypeError, KeyError, OverflowError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -53,9 +53,12 @@ class FactorOfAutomorphy:
     """A torus together with the generator value A(u) of a factor.
 
     Construction runs the sampled invertibility check on A: det must be
-    nonzero and not degenerate along the unit circle.  This is a
-    necessary condition for A to define a bundle, not a proof; the exact
-    certificate is a monomial determinant.
+    nonzero and not degenerate along the unit circle.  When each row of
+    A holds one exponent, as in block companions and their isogeny
+    translates, |det A| is constant on the circle and the check is the
+    one determinant det A(1).  This is a necessary condition for A to
+    define a bundle, not a proof; the exact certificate is a monomial
+    determinant.
     """
 
     torus: Torus
@@ -212,15 +215,23 @@ def jordan_type_unipotent(mat, eigenvalue: complex = 1.0) -> tuple[int, ...]:
             f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {np.linalg.norm(top, 2):.3e})"
         )
     _, ranks = _power_ranks(m, n)
+    parts = _partition_from_ranks(ranks, n, 0)
+    if sum(parts) != n:
+        raise ArithmeticError(f"inconsistent rank sequence {ranks}")
+    return parts
+
+
+def _partition_from_ranks(ranks: Sequence[int], n: int, tail: int) -> tuple[int, ...]:
+    """Block sizes, descending, from the rank sequence r_k = rank(M^k):
+    r_{j-1} - 2 r_j + r_{j+1} blocks of size j, with r_k = tail past the
+    end of the sequence."""
 
     def r(k: int) -> int:
-        return ranks[k] if k < len(ranks) else 0
+        return ranks[k] if k < len(ranks) else tail
 
     parts: list[int] = []
     for j in range(n, 0, -1):
         parts.extend([j] * max(r(j - 1) - 2 * r(j) + r(j + 1), 0))
-    if sum(parts) != n:
-        raise ArithmeticError(f"inconsistent rank sequence {ranks}")
     return tuple(parts)
 
 
@@ -308,14 +319,7 @@ def _partition_at(a: np.ndarray, lam: complex) -> tuple[int, ...]:
     n = a.shape[0]
     m = a - lam * np.eye(n)
     _, ranks = _power_ranks(m, n, stop_stable=True)
-
-    def r(k: int) -> int:
-        return ranks[k] if k < len(ranks) else ranks[-1]
-
-    parts: list[int] = []
-    for j in range(n, 0, -1):
-        parts.extend([j] * max(r(j - 1) - 2 * r(j) + r(j + 1), 0))
-    return tuple(parts)
+    return _partition_from_ranks(ranks, n, ranks[-1])
 
 
 def _jordan_basis(a: np.ndarray, clusters: list[tuple[complex, int]]) -> np.ndarray:

@@ -509,7 +509,13 @@ class LaurentMatrix:
 
     def scaled(self, factor) -> "LaurentMatrix":
         """Multiply every entry by a scalar or a LaurentPoly."""
-        return LaurentMatrix([[factor]]).kron(self)
+        mono = self._coerce(factor).is_monomial()
+        if mono is None:
+            return LaurentMatrix([[factor]]).kron(self)
+        # c u^k only shifts the exponents; adding 0 turns the signed zeros
+        # the product can leave into +0, as the sum in kron does
+        k, c = mono
+        return LaurentMatrix._from_coeffs(self._lo + k, c * self._c + 0)
 
     def substitute_scaled(self, c: complex) -> "LaurentMatrix":
         """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k.
@@ -578,7 +584,9 @@ class LaurentMatrix:
         rows' lowest and highest exponents.  det is sampled on the roots
         of unity of that window, each sample by elimination, and its
         coefficients recovered by an inverse FFT.  It is identically zero
-        only when every sample is exactly 0.
+        only when every sample is exactly 0.  A one point window means
+        one exponent e_i per row, A(u) = diag(u^e_i) A(1), and det is
+        det A(1) u^(sum e_i).
         """
         if self._det is None:
             ext = self._row_extremes()
@@ -586,8 +594,14 @@ class LaurentMatrix:
                 self._det = LaurentPoly.zero()
             else:
                 lo, hi = int(ext[0].sum()), int(ext[1].sum())
-                vals = np.array([_pivot_det(m) for m in self._at_roots(hi - lo + 1).tolist()])
-                self._det = LaurentPoly(dict(zip(range(lo, hi + 1), _interpolate(vals, lo).tolist())))
+                if lo == hi:
+                    self._det = LaurentPoly({lo: _pivot_det(self._c.sum(axis=0).tolist())})
+                else:
+                    # non-finite samples are left to LaurentPoly to reject
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        vals = np.array([_pivot_det(m) for m in self._at_roots(hi - lo + 1).tolist()])
+                        coeffs = _interpolate(vals, lo).tolist()
+                    self._det = LaurentPoly(dict(zip(range(lo, hi + 1), coeffs)))
         return self._det
 
     def inverse_monomial_det(self) -> "LaurentMatrix":
@@ -698,8 +712,19 @@ def passes_sampled_invertibility(mat: LaurentMatrix, samples: int = 16) -> bool:
     degenerates by more than nine orders of magnitude between sample
     points.  Scale free, so tiny but honest determinants (for instance
     high powers of q) pass.
+
+    When every row of mat holds a single exponent e_i (block companions,
+    their isogeny translates), mat(u) = diag(u^e_i) mat(1) and |det| is
+    constant on the circle, so the criterion is one determinant:
+    0 < |det mat(1)| < inf.
     """
-    vals = np.abs(np.linalg.det(mat._at_roots(samples)))
+    # an overflowed or invalid det reads inf or nan and fails either rule
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at most n live (exponent, row) pairs: one exponent per row, or a
+        # zero row, where det mat(1) is exactly 0 as every sample would be
+        if np.count_nonzero(mat._c.any(axis=2)) <= mat.n:
+            return bool(0.0 < abs(np.linalg.det(mat._c.sum(axis=0))) < math.inf)
+        vals = np.abs(np.linalg.det(mat._at_roots(samples)))
     top = vals.max()
     if not top > 0.0:
         return False
@@ -729,21 +754,21 @@ def matrix_to_json(mat: LaurentMatrix) -> dict:
     return {"n": mat.n, "entries": entries}
 
 
-def _exponent_from_json(k) -> int:
+def _integer_from_json(k, what: str) -> int:
     if isinstance(k, float) and k.is_integer():
         k = int(k)
     if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"exponent must be an integer, got {k!r}")
+        raise ValueError(f"{what} must be an integer, got {k!r}")
     return k
 
 
 def matrix_from_json(data: dict) -> LaurentMatrix:
-    n = int(data["n"])
+    n = _integer_from_json(data["n"], "size n")
     entries = data["entries"]
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for size {n}, got {len(entries)}")
     polys = [
-        LaurentPoly({_exponent_from_json(t["k"]): complex(float(t["re"]), float(t["im"])) for t in terms})
+        LaurentPoly({_integer_from_json(t["k"], "exponent"): complex(float(t["re"]), float(t["im"])) for t in terms})
         for terms in entries
     ]
     return LaurentMatrix([polys[i * n:(i + 1) * n] for i in range(n)], prune=False)

@@ -7,8 +7,12 @@ with StringIO so composed pipelines stay deterministic and fast.
 import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusbundles import LaurentMatrix, LaurentPoly, Torus, factor_from_json, matrices_close
 from torusbundles.cli import format_complex, main, parse_complex
@@ -288,6 +292,15 @@ def test_non_integer_exponent_is_domain_error(capsys, monkeypatch):
     assert "exponent must be an integer" in err
 
 
+def test_non_integer_size_is_domain_error(capsys, monkeypatch):
+    # 1e400 parses as inf; the others used to be read as n = 1
+    for n in ("1e400", "1.5", "true", '"1"'):
+        stdin = '{"torus": {"tau": [0, 1]}, "A": {"n": %s, "entries": [[{"k": 0, "re": 1, "im": 0}]]}}' % n
+        code, out, err = run(capsys, monkeypatch, ["degree"], stdin=stdin)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "size n must be an integer" in err
+
+
 def test_malformed_json_is_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["degree"], stdin="{not json")
     assert code == 1
@@ -302,3 +315,48 @@ def test_unknown_command_is_usage_error(capsys, monkeypatch):
 def test_missing_required_argument_is_usage_error(capsys, monkeypatch):
     assert main(["normal-form", "--tau", "0+1i"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON readers
+# ---------------------------------------------------------------------------
+
+# Exponents are in [-3, 3] or beyond any array size (1e308, 10^400): a
+# LaurentMatrix is dense over its exponent window and det samples a table
+# of window x window points, so two exponents 10^5 apart would ask for
+# hundreds of GiB, a limit of the representation and not of the readers.
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.sampled_from([0.5, -1.0, 1e308, 10 ** 400, float("inf"), float("nan")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["k", "re", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+_number = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-(10 ** 400), 10 ** 400) | _junk
+_term = st.fixed_dictionaries({"k": st.integers(-3, 3) | _junk, "re": _number, "im": _number}) | _junk
+_entry = st.lists(_term, max_size=3) | _junk
+_matrix = st.fixed_dictionaries({"n": st.integers(-1, 3) | _junk, "entries": st.lists(_entry, max_size=10) | _junk}) | _junk
+_factor = st.fixed_dictionaries({"torus": st.fixed_dictionaries({"tau": st.lists(_number, max_size=3)}) | _junk,
+                                 "A": _matrix}) | _junk
+
+
+def _big(entries):
+    return {"torus": {"tau": [0, 1]}, "A": {"n": 2, "entries": [[{"k": k, "re": 1e300, "im": 1e300} for k in e] for e in entries]}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_factor)
+@example(data=_big([[0], [0], [1], []]))  # det overflows, one exponent per row
+@example(data=_big([[0, 1], [1], [0], [0]]))  # det overflows in the sampled path
+def test_fuzzed_factor_json_is_a_result_or_a_one_line_error(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-factor.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    # numpy warnings become errors, so a warning printed to stderr fails too
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["degree", "-i", str(path)])
+    if code == 0:
+        assert err.getvalue() == "" and isinstance(json.loads(out.getvalue())["degree"], int)
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

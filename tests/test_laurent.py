@@ -240,6 +240,88 @@ def test_sampled_invertibility():
     assert not passes_sampled_invertibility(LaurentMatrix([[1, 1], [1, 1]]))
 
 
+def _sampled_criterion(m, samples=16):
+    """The 16-sample invertibility rule, from numpy dets of eval_at."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = [abs(np.linalg.det(m.eval_at(np.exp(2j * np.pi * t / samples)))) for t in range(samples)]
+    return bool(max(vals) > 0 and min(vals) > 1e-9 * max(vals))
+
+
+def _one_exponent_rows(rng, n, scales):
+    """A matrix whose row i is u^e_i times random complex entries of
+    size scales[i]; a zero scale gives a zero row."""
+    exps = rng.integers(-3, 4, size=n)
+    rows = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return [[LaurentPoly.monomial(int(exps[i]), scales[i] * rows[i, j]) for j in range(n)] for i in range(n)]
+
+
+def test_one_exponent_rows_invertibility_matches_sampled_criterion(rng):
+    for n in range(1, 17):
+        ones = [1.0] * n
+        cases = {True: [_one_exponent_rows(rng, n, ones), _one_exponent_rows(rng, n, [1e-300] + ones[1:])]}
+        cases[False] = [_one_exponent_rows(rng, n, [0.0] + ones[1:])]
+        if n >= 2:
+            # singular A(1) that elimination finds exactly singular: two
+            # rows live in the last column only, or a zero column
+            # (proportional dense rows leave a round-off det, which neither
+            # rule decides)
+            pair = _one_exponent_rows(rng, n, ones)
+            col = _one_exponent_rows(rng, n, ones)
+            for j in range(n - 1):
+                pair[0][j] = pair[1][j] = LaurentPoly.zero()
+            for row in col:
+                row[-1] = LaurentPoly.zero()
+            cases[False] += [
+                pair,
+                col,
+                _one_exponent_rows(rng, n, [1e-200, 1e-200] + ones[2:]),  # det underflows to 0
+                _one_exponent_rows(rng, n, [1e200, 1e200] + ones[2:]),  # det overflows to inf
+            ]
+        for want, mats in cases.items():
+            for rows in mats:
+                m = LaurentMatrix(rows, prune=False)
+                assert _sampled_criterion(m) is want
+                assert passes_sampled_invertibility(m) is want
+
+
+def test_sampled_invertibility_spread_over_1e9_fails():
+    # det = (1 + a u) det(S T) with 1 - a = 1e-11: |det| is 2 |det(S T)| at
+    # u = 1 and 1e-11 |det(S T)| at u = -1, and every row has two exponents
+    s = np.array([[2, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=complex)
+    t = np.array([[1, 2, 0], [0, 1, 0], [0, 1, 1]], dtype=complex)
+    d = LaurentMatrix.diagonal([LaurentPoly({0: 1.0, 1: 1 - 1e-11}), 1, 1])
+    m = LaurentMatrix.from_constant(s) @ d @ LaurentMatrix.from_constant(t)
+    assert abs(np.linalg.det(m.eval_at(1.0))) > 1.0
+    assert not _sampled_criterion(m)
+    assert not passes_sampled_invertibility(m)
+
+
+def test_scaled_by_monomial_equals_kron_exactly(rng):
+    factors = [2, -1.5, 0.25j, -3 - 0j, LaurentPoly.monomial(-2, -0.7 + 0.1j), LaurentPoly.monomial(3, -1j)]
+    for n in (1, 2, 5):
+        m = random_laurent_matrix(rng, n)
+        neg = -LaurentMatrix.from_constant(1j * rng.normal(size=(n, n)))  # signed zero real parts
+        for a in (m, neg):
+            for c in factors + [complex(*rng.normal(size=2))]:
+                got, want = a.scaled(c), LaurentMatrix([[c]]).kron(a)
+                assert got._lo == want._lo
+                assert got._c.tobytes() == want._c.tobytes()
+
+
+def test_det_of_normal_forms_unchanged_bit_for_bit(any_torus):
+    from torusbundles import normal_form
+    from torusbundles.laurent import _pivot_det
+
+    for r in range(1, 17):
+        for d in range(-8, 9):
+            a = normal_form(any_torus, r, d, 0.6 + 0.2j).A
+            [(k, got)] = a.det().terms()
+            # the general path: eliminate the one sample of a one-point window
+            want = _pivot_det(a._at_roots(1)[0].tolist())
+            assert k == -d
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 def test_block_diagonal(rng):
     a = random_laurent_matrix(rng, 2)
     b = random_laurent_matrix(rng, 1)
