@@ -28,7 +28,7 @@ from .laurent import (
     LaurentPoly,
     Torus,
 )
-from .cocycle import FactorOfAutomorphy, _is_triangular, _partition_at
+from .cocycle import FactorOfAutomorphy, _is_triangular, _walk_powers
 from .isogeny import IsogenyContext, companion_block, pushforward
 
 __all__ = [
@@ -207,6 +207,6 @@ def recognize_deg0(f: FactorOfAutomorphy, nu_range: int = 64) -> Optional[Bundle
     lam = complex(diag[0])
     if any(abs(v - lam) > 1e-8 * (1.0 + abs(lam)) for v in diag):
         return None
-    if _partition_at(m, lam) != (n,):
+    if _walk_powers(m, lam).partition != (n,):
         return None
     return BundleDescriptor(n, 0, reduce_param(f.torus, lam, max_power=nu_range))

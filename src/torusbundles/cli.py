@@ -27,6 +27,8 @@ from .laurent import (
     TorusBundleError,
     matrix_from_json,
     matrix_to_json,
+    terms_from_json,
+    terms_to_json,
     torus_to_json,
 )
 from .cocycle import (
@@ -85,10 +87,6 @@ def _input_factor(args) -> FactorOfAutomorphy:
     return factor_from_json(_load_json(args.input))
 
 
-def _poly_json(p) -> list:
-    return [{"k": k, "re": c.real, "im": c.imag} for k, c in p.terms()]
-
-
 def _table(obj, indent: str = "") -> str:
     lines = []
     for k, v in obj.items():
@@ -106,10 +104,7 @@ def _table(obj, indent: str = "") -> str:
                 lines.append(f"{indent}block {i}:")
                 lines.append(_table(b, indent + "  "))
         elif k == "b" and isinstance(v, list):
-            from .laurent import LaurentPoly
-
-            p = LaurentPoly({int(t["k"]): complex(t["re"], t["im"]) for t in v})
-            lines.append(f"{indent}b: {p}")
+            lines.append(f"{indent}b: {terms_from_json(v)}")
         elif isinstance(v, dict):
             lines.append(f"{indent}{k}:")
             lines.append(_table(v, indent + "  "))
@@ -229,7 +224,7 @@ def _cmd_trivial_check(args) -> int:
         return 0
     if f.A.n == 2:
         b = is_trivial_unipotent2(f)
-        out = {"family": "unipotent2", "trivial": b is not None, "b": None if b is None else _poly_json(b)}
+        out = {"family": "unipotent2", "trivial": b is not None, "b": None if b is None else terms_to_json(b.terms())}
         _emit(out, args.format)
         return 0
     raise ValueError(f"trivial-check handles sizes 1 and 2, got {f.A.n}")

@@ -15,7 +15,7 @@ some matrix B invertible over the Laurent ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .laurent import (
     NotNilpotent,
     Torus,
     _require_same_torus,
+    _sampled_abs_dets,
     matrices_close,
     matrix_from_json,
     matrix_to_json,
@@ -66,10 +67,12 @@ class FactorOfAutomorphy:
 
     def __post_init__(self) -> None:
         if not passes_sampled_invertibility(self.A):
-            raise ValueError(
-                "generator fails the sampled invertibility check "
-                f"(det = {self.A.det()})"
+            dets = _sampled_abs_dets(self.A)
+            taken = (
+                f"|det A(1)| = {dets:.3g}" if dets.ndim == 0
+                else f"|det A| from {dets.min():.3g} to {dets.max():.3g} at {dets.size} points of |u| = 1"
             )
+            raise ValueError(f"generator fails the sampled invertibility check ({taken})")
 
     @property
     def rank(self) -> int:
@@ -214,71 +217,66 @@ def jordan_type_unipotent(mat, eigenvalue: complex = 1.0) -> tuple[int, ...]:
         raise NotNilpotent(
             f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {np.linalg.norm(top, 2):.3e})"
         )
-    _, ranks = _power_ranks(m, n)
-    parts = _partition_from_ranks(ranks, n, 0)
-    if sum(parts) != n:
-        raise ArithmeticError(f"inconsistent rank sequence {ranks}")
-    return parts
+    walk = _walk_powers(a, complex(eigenvalue))
+    if sum(walk.partition) != n:
+        raise ArithmeticError(f"inconsistent rank sequence {walk.ranks}")
+    return walk.partition
 
 
-def _partition_from_ranks(ranks: Sequence[int], n: int, tail: int) -> tuple[int, ...]:
-    """Block sizes, descending, from the rank sequence r_k = rank(M^k):
-    r_{j-1} - 2 r_j + r_{j+1} blocks of size j, with r_k = tail past the
-    end of the sequence."""
+class _PowerWalk(NamedTuple):
+    """What _walk_powers finds for one eigenvalue."""
+
+    ranks: list[int]
+    partition: tuple[int, ...]
+    powers: list[np.ndarray]
+    kernels: list[np.ndarray]
+
+
+def _walk_powers(a: np.ndarray, lam: complex) -> _PowerWalk:
+    """Powers M^k of M = a - lam I with their numerical ranks, orthonormal
+    kernel bases (columns) and the Jordan partition of lam inside a.
+
+    Each power takes one SVD.  Rank thresholds scale with each power's own
+    largest singular value; a fixed floor of the form c * |M|^k is useless
+    here because a long Jordan chain makes the genuine singular values of
+    M^k fall many orders below |M|^k.  A power whose largest singular
+    value sits at roundoff level relative to the previous one (growth by
+    |M| times 1e-8 slack) is snapped to the exact zero matrix, so its
+    kernel is the whole space.  The walk stops at the zero power or once
+    three ranks agree; past its end the ranks stay at the last one, and
+    r_{j-1} - 2 r_j + r_{j+1} blocks have size j (other eigenvalues keep
+    full rank and drop out of the differences).
+    """
+    n = a.shape[0]
+    m = a - lam * np.eye(n)
+    nrm = float(np.linalg.norm(m, 2))
+    powers = [np.eye(n, dtype=complex)]
+    kernels = [np.zeros((n, 0), dtype=complex)]
+    ranks = [n]
+    prev_top = max(1.0, nrm)
+    growth = 1.0
+    while len(ranks) <= n:
+        nxt = powers[-1] @ m
+        _, s, vh = np.linalg.svd(nxt)
+        top = float(s[0])
+        if top <= 1e-8 * prev_top * growth:
+            nxt, vh, rank = np.zeros_like(nxt), np.eye(n, dtype=complex), 0
+        else:
+            rank = int(np.sum(s > top * max(1e-10, n * np.finfo(float).eps)))
+        powers.append(nxt)
+        kernels.append(vh[rank:].conj().T)
+        ranks.append(rank)
+        if rank == 0 or (len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]):
+            break
+        prev_top, growth = top, nrm
 
     def r(k: int) -> int:
-        return ranks[k] if k < len(ranks) else tail
+        return ranks[min(k, len(ranks) - 1)]
 
     parts: list[int] = []
     for j in range(n, 0, -1):
         parts.extend([j] * max(r(j - 1) - 2 * r(j) + r(j + 1), 0))
-    return tuple(parts)
-
-
-def _power_ranks(
-    m: np.ndarray, nmax: int, stop_stable: bool = False
-) -> tuple[list[np.ndarray], list[int]]:
-    """Successive powers of m with their numerical ranks.
-
-    Rank thresholds scale with each power's own largest singular value;
-    a fixed floor of the form c * |m|^k is useless here because a long
-    Jordan chain makes the genuine singular values of m^k fall many
-    orders below |m|^k.  A power whose largest singular value sits at
-    roundoff level relative to the previous one (growth by |m| times
-    1e-8 slack) is snapped to the exact zero matrix, so downstream
-    kernels come out full.
-    """
-    n = m.shape[0]
-    nrm = float(np.linalg.norm(m, 2))
-    powers = [np.eye(n, dtype=complex)]
-    ranks = [n]
-    prev_top = max(1.0, nrm)
-    growth = 1.0
-    for _ in range(nmax):
-        nxt = powers[-1] @ m
-        s = np.linalg.svd(nxt, compute_uv=False)
-        top = float(s[0]) if len(s) else 0.0
-        if ranks[-1] == 0 or top <= 1e-8 * prev_top * growth:
-            powers.append(np.zeros_like(nxt))
-            ranks.append(0)
-            break
-        powers.append(nxt)
-        ranks.append(int(np.sum(s > top * max(1e-10, n * np.finfo(float).eps))))
-        prev_top, growth = top, nrm
-        if stop_stable and len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]:
-            break
-    return powers, ranks
-
-
-def _nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, as columns."""
-    _, s, vh = np.linalg.svd(a)
-    top = s[0] if len(s) else 0.0
-    thresh = max(top * 1e-10, top * max(a.shape) * np.finfo(float).eps)
-    nullity = a.shape[1] - int(np.sum(s > thresh))
-    if nullity == 0:
-        return np.zeros((a.shape[1], 0), dtype=complex)
-    return vh[len(vh) - nullity:].conj().T
+    return _PowerWalk(ranks, tuple(parts), powers, kernels)
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -313,32 +311,17 @@ def _is_triangular(a: np.ndarray) -> bool:
     return min(lower, upper) <= 1e-12 * scale
 
 
-def _partition_at(a: np.ndarray, lam: complex) -> tuple[int, ...]:
-    """Jordan partition of the eigenvalue lam inside a (other eigenvalues
-    allowed; they keep full rank and drop out of the differences)."""
-    n = a.shape[0]
-    m = a - lam * np.eye(n)
-    _, ranks = _power_ranks(m, n, stop_stable=True)
-    return _partition_from_ranks(ranks, n, ranks[-1])
-
-
-def _jordan_basis(a: np.ndarray, clusters: list[tuple[complex, int]]) -> np.ndarray:
+def _jordan_basis(walks: list[_PowerWalk]) -> np.ndarray:
     """Columns S with a S = S J, J the canonical Jordan form built from
-    the clusters in order, blocks descending within each eigenvalue."""
-    n = a.shape[0]
+    the power walks of a's eigenvalues in order, blocks descending within
+    each eigenvalue."""
+    n = walks[0].powers[0].shape[0]
     cols: list[np.ndarray] = []
-    for lam, mult in clusters:
-        m = a - lam * np.eye(n)
-        partition = _partition_at(a, lam)
+    for _, partition, powers, null in walks:
         index = partition[0] if partition else 0
-        powers, _ = _power_ranks(m, index)
-        while len(powers) < index + 1:
-            powers.append(np.zeros_like(m))
-        null = [_nullspace(powers[k]) for k in range(index + 1)]
-        counts = {j: sum(1 for p in partition if p == j) for j in set(partition)}
         tops: list[tuple[np.ndarray, int]] = []
         for j in range(index, 0, -1):
-            need = counts.get(j, 0)
+            need = partition.count(j)
             if need == 0:
                 continue
             avoid = [null[j - 1]] + [powers[length - j] @ v[:, None] for v, length in tops if length > j]
@@ -349,13 +332,12 @@ def _jordan_basis(a: np.ndarray, clusters: list[tuple[complex, int]]) -> np.ndar
                 proj = basis - qw @ (qw.conj().T @ basis)
             else:
                 proj = basis
-            _, sv, vh = np.linalg.svd(proj)
+            _, _, vh = np.linalg.svd(proj)
             for t in range(need):
                 x = vh[t].conj()
                 tops.append((basis @ x, j))
         for v, length in tops:
-            chain = [(powers[length - 1 - t] @ v) for t in range(length)]
-            cols.extend(chain)
+            cols.extend(powers[length - 1 - t] @ v for t in range(length))
     s = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
     if s.shape != (n, n):
         raise ArithmeticError(f"Jordan basis has {s.shape[1]} columns for size {n}")
@@ -406,12 +388,11 @@ def equivalent_constant(
     for (va, ma), (vb, mb) in zip(ca, cb):
         if ma != mb or abs(va - vb) > tol * (1.0 + abs(va)):
             return None
-    for (va, _), (vb, _) in zip(ca, cb):
-        if _partition_at(am, va) != _partition_at(bm, vb):
-            return None
-    sa = _jordan_basis(am, ca)
-    sb = _jordan_basis(bm, cb)
-    w = sa @ np.linalg.inv(sb)
+    walks_a = [_walk_powers(am, v) for v, _ in ca]
+    walks_b = [_walk_powers(bm, v) for v, _ in cb]
+    if [wa.partition for wa in walks_a] != [wb.partition for wb in walks_b]:
+        return None
+    w = _jordan_basis(walks_a) @ np.linalg.inv(_jordan_basis(walks_b))
     if float(np.max(np.abs(am @ w - w @ bm))) > 1e-6 * scale * float(np.linalg.cond(w)):
         raise ArithmeticError("Jordan bases failed to produce a valid witness")
     return EquivalenceWitness(LaurentMatrix.from_constant(w))

@@ -46,6 +46,8 @@ __all__ = [
     "passes_sampled_invertibility",
     "torus_to_json",
     "torus_from_json",
+    "terms_to_json",
+    "terms_from_json",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -55,6 +57,9 @@ PRUNE_REL = 1e-12
 
 #: base tolerance for identity checks; always scaled by (1 + largest input coefficient)
 CLOSE_TOL = 1e-9
+
+#: points of the unit circle where passes_sampled_invertibility takes det
+INVERTIBILITY_SAMPLES = 16
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -199,18 +204,6 @@ class LaurentPoly:
             return None
         [(k, c)] = self._c.items()
         return k, c
-
-    @property
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
 
     def max_coeff(self) -> float:
         return max((abs(v) for v in self._c.values()), default=0.0)
@@ -625,13 +618,6 @@ class LaurentMatrix:
 
     # -- io and display -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return matrix_to_json(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentMatrix":
-        return matrix_from_json(data)
-
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows())
         return f"LaurentMatrix[{body}]"
@@ -704,31 +690,38 @@ def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
 
 
-def passes_sampled_invertibility(mat: LaurentMatrix, samples: int = 16) -> bool:
+def _sampled_abs_dets(mat: LaurentMatrix):
+    """|det mat| where passes_sampled_invertibility judges it: one scalar,
+    |det mat(1)|, when every row holds one exponent, else an array over
+    the INVERTIBILITY_SAMPLES roots of unity.  An overflowed or invalid
+    det reads inf or nan, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at most n live (exponent, row) pairs: one exponent per row, or a
+        # zero row, where det mat(1) is exactly 0 as every sample would be
+        if np.count_nonzero(mat._c.any(axis=2)) <= mat.n:
+            return abs(np.linalg.det(mat._c.sum(axis=0)))
+        return np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
+
+
+def passes_sampled_invertibility(mat: LaurentMatrix) -> bool:
     """Necessary condition for invertibility of u -> mat(u) on C*.
 
-    Takes the determinants of mat at equally spaced points of the unit
-    circle and flags matrices whose determinant is zero there, or
-    degenerates by more than nine orders of magnitude between sample
-    points.  Scale free, so tiny but honest determinants (for instance
-    high powers of q) pass.
+    Takes the determinants of mat at INVERTIBILITY_SAMPLES equally spaced
+    points of the unit circle and flags matrices whose determinant is
+    zero, infinite or nan there, or degenerates by more than nine orders
+    of magnitude between sample points.  Scale free, so tiny but honest
+    determinants (for instance high powers of q) pass.
 
     When every row of mat holds a single exponent e_i (block companions,
     their isogeny translates), mat(u) = diag(u^e_i) mat(1) and |det| is
     constant on the circle, so the criterion is one determinant:
     0 < |det mat(1)| < inf.
     """
-    # an overflowed or invalid det reads inf or nan and fails either rule
-    with np.errstate(over="ignore", invalid="ignore"):
-        # at most n live (exponent, row) pairs: one exponent per row, or a
-        # zero row, where det mat(1) is exactly 0 as every sample would be
-        if np.count_nonzero(mat._c.any(axis=2)) <= mat.n:
-            return bool(0.0 < abs(np.linalg.det(mat._c.sum(axis=0))) < math.inf)
-        vals = np.abs(np.linalg.det(mat._at_roots(samples)))
-    top = vals.max()
-    if not top > 0.0:
-        return False
-    return bool(vals.min() > 1e-9 * top)
+    dets = _sampled_abs_dets(mat)
+    if dets.ndim == 0:
+        return bool(0.0 < dets < math.inf)
+    top = dets.max()
+    return bool(top > 0.0 and dets.min() > 1e-9 * top)
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +738,20 @@ def torus_from_json(data: dict) -> Torus:
     return Torus(complex(float(re), float(im)))
 
 
+def terms_to_json(terms: Iterable[tuple[int, complex]]) -> list[dict]:
+    """The JSON term list of (exponent, coefficient) pairs, as
+    LaurentPoly.terms() gives them."""
+    return [{"k": k, "re": c.real, "im": c.imag} for k, c in terms]
+
+
+def terms_from_json(terms: list) -> LaurentPoly:
+    """The LaurentPoly of a JSON term list; exponents must be integers."""
+    return LaurentPoly({_integer_from_json(t["k"], "exponent"): complex(float(t["re"]), float(t["im"])) for t in terms})
+
+
 def matrix_to_json(mat: LaurentMatrix) -> dict:
     entries = [
-        [{"k": mat._lo + k, "re": v.real, "im": v.imag} for k, v in enumerate(values) if v]
+        terms_to_json((mat._lo + k, v) for k, v in enumerate(values) if v)
         for row in mat._c.transpose(1, 2, 0).tolist()
         for values in row
     ]
@@ -767,8 +771,5 @@ def matrix_from_json(data: dict) -> LaurentMatrix:
     entries = data["entries"]
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for size {n}, got {len(entries)}")
-    polys = [
-        LaurentPoly({_integer_from_json(t["k"], "exponent"): complex(float(t["re"]), float(t["im"])) for t in terms})
-        for terms in entries
-    ]
+    polys = [terms_from_json(terms) for terms in entries]
     return LaurentMatrix([polys[i * n:(i + 1) * n] for i in range(n)], prune=False)

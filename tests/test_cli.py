@@ -203,6 +203,21 @@ def test_trivial_check_unipotent(capsys, monkeypatch):
     assert ks == {1, -2}
 
 
+def test_trivial_check_unipotent_table_line(capsys, monkeypatch):
+    # b_k = a_k / (q^k - 1) with q = exp(-2 pi): 0.4 / (q - 1) = -0.40074837...
+    # and 1 / (q^-2 - 1) = 3.4873545...e-06, read back from the JSON terms
+    t = Torus(1j)
+    a = LaurentPoly({1: 0.4, -2: 1.0})
+    m = LaurentMatrix([[LaurentPoly.one(), a], [LaurentPoly.zero(), LaurentPoly.one()]])
+    code, out, _ = run(capsys, monkeypatch, ["trivial-check", "--format", "table"], stdin=_factor_json_text(t, m))
+    assert code == 0
+    assert out.splitlines() == [
+        "family: unipotent2",
+        "trivial: True",
+        "b: 3.487354518e-06*u^-2 + -0.4007483746*u",
+    ]
+
+
 def test_trivial_check_rejects_size3(capsys, monkeypatch):
     t = Torus(1j)
     code, out, err = run(capsys, monkeypatch, ["trivial-check"],
@@ -360,3 +375,17 @@ def test_fuzzed_factor_json_is_a_result_or_a_one_line_error(data, tmp_path_facto
     else:
         assert code == 1 and out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
+
+
+def test_failed_invertibility_check_reports_the_dets_it_took(capsys, monkeypatch):
+    # the Laurent det of the two overflowing generators has non-finite
+    # coefficients, so the message gives the determinants the check took
+    singular = {"torus": {"tau": [0, 1]}, "A": {"n": 2, "entries": [[{"k": 0, "re": 1, "im": 0}]] * 4}}
+    for data, taken in (
+        (_big([[0], [0], [1], []]), "|det A(1)| = inf"),
+        (_big([[0, 1], [1], [0], [0]]), "|det A| from inf to inf at 16 points of |u| = 1"),
+        (singular, "|det A(1)| = 0"),
+    ):
+        code, out, err = run(capsys, monkeypatch, ["degree"], stdin=json.dumps(data))
+        assert (code, out) == (1, "")
+        assert err == f"ValueError: generator fails the sampled invertibility check ({taken})\n"

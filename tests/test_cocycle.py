@@ -290,3 +290,95 @@ def test_equivalent_constant_reflexive_symmetric(rng):
 def test_equivalent_constant_shape_check():
     with pytest.raises(ValueError):
         equivalent_constant(np.eye(2), np.eye(3))
+
+
+def _jordan(blocks):
+    """Block diagonal Jordan matrix of (eigenvalue, size) blocks in order."""
+    n = sum(size for _, size in blocks)
+    j = np.zeros((n, n), dtype=complex)
+    i = 0
+    for lam, size in blocks:
+        j[i:i + size, i:i + size] = lam * np.eye(size) + np.eye(size, k=1)
+        i += size
+    return j
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _random_jordan_structure(rng):
+    """Two or three eigenvalues at least 0.5 apart, each with two or more
+    blocks, one block of size >= 2, n <= 8."""
+    k = int(rng.integers(2, 4))
+    while True:
+        eig = [complex(*rng.normal(size=2)) for _ in range(k)]
+        if min(abs(x - y) for i, x in enumerate(eig) for y in eig[:i]) >= 0.5:
+            break
+    mults = [2] * k
+    for _ in range(int(rng.integers(0, 8 - 2 * k + 1))):
+        mults[int(rng.integers(0, k))] += 1
+    partitions = []
+    for mult in mults:
+        first = int(rng.integers(1, mult))
+        rest = mult - first
+        parts = [first]
+        while rest:
+            parts.append(int(rng.integers(1, rest + 1)))
+            rest -= parts[-1]
+        partitions.append(tuple(sorted(parts, reverse=True)))
+    if all(p[0] == 1 for p in partitions):
+        partitions[0] = (2,) + partitions[0][2:]
+    return eig, partitions
+
+
+def test_jordan_structures_random_sweep():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        eig, partitions = _random_jordan_structure(rng)
+        blocks = [(lam, size) for lam, parts in zip(eig, partitions) for size in parts]
+        j = _jordan(blocks)
+        n = j.shape[0]
+        values = [lam for lam, size in blocks for _ in range(size)]
+        for lam, parts in zip(eig, partitions):
+            u = _unitary(rng, sum(parts))
+            part = _jordan([(lam, size) for size in parts])
+            assert jordan_type_unipotent(u.conj().T @ part @ u, lam) == parts
+        t = np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
+        u = _unitary(rng, n)
+        conjugates = [
+            (u.conj().T @ j @ u, values),
+            (np.triu(np.linalg.inv(t) @ j @ t), None),  # eigenvalues read off the diagonal
+        ]
+        for b, given in conjugates:
+            w = equivalent_constant(j, b, eigenvalues=given)
+            assert w is not None, seed
+            wm = w.B.constant_matrix()
+            scale = (1.0 + max(np.max(np.abs(j)), np.max(np.abs(b)))) * np.max(np.abs(wm))
+            assert np.max(np.abs(j @ wm - wm @ b)) <= 1e-9 * scale, seed
+        i = next(i for i, (_, size) in enumerate(blocks) if size >= 2)
+        lam, size = blocks[i]
+        split = _jordan(blocks[:i] + [(lam, size - 1), (lam, 1)] + blocks[i + 1:])
+        assert equivalent_constant(j, u.conj().T @ split @ u, eigenvalues=values) is None, seed
+
+
+def test_equivalent_constant_decomposes_each_power_once(monkeypatch):
+    # J_8(a) against a unitary conjugate: eight powers of A - aI per matrix,
+    # then one _orth and one projection per block size; recomputing the
+    # rank sequence for the decision, the basis and the kernels took 70
+    a = 0.6 + 0.2j
+    j = _jordan([(a, 8)])
+    u = _unitary(np.random.default_rng(8), 8)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    w = equivalent_constant(j, u.conj().T @ j @ u, eigenvalues=[a] * 8)
+    monkeypatch.undo()
+    assert w is not None
+    assert len(calls) <= 22

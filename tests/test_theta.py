@@ -16,6 +16,7 @@ from torusbundles import (
     theta_zero,
     verify_theta_function,
 )
+from torusbundles.theta import SHIFT_RANGE
 
 
 XI0 = ThetaCharacteristic()
@@ -111,6 +112,19 @@ def test_verifier_is_deterministic_under_seed(torus):
         rng=np.random.default_rng(7),
     )
     assert run() == run()
+
+
+def test_verifier_evaluates_s_once_per_point(torus):
+    # each sample z needs s(z) once and s(z + gamma) for every shift gamma
+    calls = []
+
+    def s(z):
+        calls.append(z)
+        return theta_eval(torus, XI0, z)
+
+    report = verify_theta_function(torus, lambda p, n, z: e_factor(torus, XI0, p, n, z), s, samples=4)
+    assert report.passed
+    assert len(calls) == 4 * (1 + (2 * SHIFT_RANGE + 1) ** 2)
 
 
 def test_verifier_input_checks(torus):
