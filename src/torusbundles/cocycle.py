@@ -7,7 +7,8 @@ q^m is then the iterated product
 
     A(m, u) = A(q^(m-1) u) ... A(q u) A(u),      A(0, u) = I,
 
-extended to negative m by A(-m, u) = A(m, q^(-m) u)^(-1).  Two factors
+extended to negative m by A(-m, u) = A(m, q^(-m) u)^(-1)
+= A(q^(-m) u)^(-1) ... A(q^(-1) u)^(-1).  Two factors
 A, A' give isomorphic bundles exactly when A(u) B(u) = B(q u) A'(u) for
 some matrix B invertible over the Laurent ring.
 """
@@ -107,8 +108,9 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     """The iterated cocycle value A(m, u).
 
     For m >= 0 this is the left product A(q^(m-1) u) ... A(u); for
-    negative m the inverse A(|m|, q^m u)^(-1), which needs det A to be a
-    monomial and raises NotInvertibleInRing otherwise.
+    negative m the product A(q^m u)^(-1) ... A(q^(-1) u)^(-1) of one
+    inverse A^(-1), which needs det A to be a monomial and raises
+    NotInvertibleInRing otherwise.
     """
     if not isinstance(m, (int, np.integer)):
         raise TypeError(f"m must be an integer, got {m!r}")
@@ -120,8 +122,11 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
         for i in range(1, m):
             acc = f.A.substitute_scaled(q ** i) @ acc
         return acc
-    pos = iterate(f, -m)
-    return pos.substitute_scaled(q ** m).inverse_monomial_det()
+    inv = f.A.inverse_monomial_det()
+    acc = inv.substitute_scaled(q ** -1)
+    for i in range(2, 1 - m):
+        acc = inv.substitute_scaled(q ** -i) @ acc
+    return acc
 
 
 def check_witness(

@@ -5,14 +5,21 @@ A(u) entry by entry: tensor products become Kronecker products, symmetric
 and exterior powers become the induced matrices on monomials and minors.
 All constructions preserve the torus and commute with iteration of the
 cocycle.
+
+Symmetric and exterior powers sample A on the roots of unity of d times
+its exponent window, build the induced matrices of all samples in one
+batch and interpolate (LaurentMatrix._sampled).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
-from .laurent import LaurentMatrix, LaurentPoly, _require_same_torus
+import numpy as np
+
+from .laurent import LaurentMatrix, _require_same_torus, _sample_dets
 from .cocycle import FactorOfAutomorphy
 
 __all__ = [
@@ -45,57 +52,48 @@ def _exponent_tuples(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
 def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
     """Induced matrix on the n-th symmetric power, in the monomial basis.
 
-    Columns are images of basis monomials: the variable e_j maps to
-    sum_i A[i][j] e_i and the product of images is expanded back into
-    monomials.  For the 2x2 unipotent factor with a single off diagonal 1
-    this produces the upper triangular binomial coefficient matrix.
+    Column nu is the image of the basis monomial e^nu when the variable
+    e_j maps to sum_i A[i][j] e_i.  Degree by degree, with nu = nu' + e_j
+    for the last variable j of nu, S_d[mu, nu] = sum_i A[i, j]
+    S_(d-1)[mu - e_i, nu'], one gather on all samples.  For the 2x2
+    unipotent factor with a single off diagonal 1 this produces the
+    upper triangular binomial coefficient matrix, exactly.
     """
     if n < 0:
         raise ValueError(f"symmetric power needs n >= 0, got {n}")
     r = f.A.n
-    a = f.A.rows()
-    basis = list(_exponent_tuples(r, n))
-    position = {mu: i for i, mu in enumerate(basis)}
-    zero = LaurentPoly.zero()
-    columns = []
-    for nu in basis:
-        # expand prod_j (sum_i A[i][j] e_i)^(nu_j) into monomials
-        expansion: dict[tuple[int, ...], LaurentPoly] = {(0,) * r: LaurentPoly.one()}
-        for j, power in enumerate(nu):
-            for _ in range(power):
-                nxt: dict[tuple[int, ...], LaurentPoly] = {}
-                for mono, coeff in expansion.items():
-                    for i in range(r):
-                        e = a[i][j]
-                        if e.is_zero:
-                            continue
-                        key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                        term = coeff * e
-                        nxt[key] = term if key not in nxt else nxt[key] + term
-                expansion = nxt
-        col = [zero] * len(basis)
-        for mono, coeff in expansion.items():
-            col[position[mono]] = coeff
-        columns.append(col)
-    rows = [[columns[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return FactorOfAutomorphy(f.torus, LaurentMatrix(rows))
+
+    def apply(samples):
+        s, prev = np.ones((len(samples), 1, 1), dtype=complex), {(0,) * r: 0}
+        for d in range(1, n + 1):
+            basis = list(_exponent_tuples(r, d))
+            # index of mu - e_i in degree d - 1; row len(prev) is zero
+            down = np.array([[prev.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:], len(prev)) for mu in basis]
+                             for i in range(r)])
+            last = [max(np.flatnonzero(nu)) for nu in basis]
+            padded = np.concatenate([s, np.zeros_like(s[:, :1])], axis=1)
+            s = (padded[:, down[:, :, None], down[last, range(len(basis))]] * samples[:, :, None, last]).sum(axis=1)
+            prev = {mu: t for t, mu in enumerate(basis)}
+        return s
+
+    return _sampled_functor(f, n, apply, r * math.comb(r + n - 1, n) ** 2)
 
 
 def wedge_power(f: FactorOfAutomorphy, k: int) -> FactorOfAutomorphy:
-    """Compound matrix of k x k minors, index sets in lexicographic order."""
+    """Compound matrix of k x k minors, index sets in lexicographic order;
+    the minors of all samples of A are taken in one batch."""
     n = f.A.n
     if not 0 <= k <= n:
         raise ValueError(f"wedge power needs 0 <= k <= {n}, got {k}")
-    a = f.A.rows()
-    subsets = list(itertools.combinations(range(n), k))
-    rows = []
-    for rows_idx in subsets:
-        out_row = []
-        for cols_idx in subsets:
-            sub = [[a[i][j] for j in cols_idx] for i in rows_idx]
-            out_row.append(LaurentMatrix(sub).det() if k else LaurentPoly.one())
-        rows.append(out_row)
-    return FactorOfAutomorphy(f.torus, LaurentMatrix(rows))
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+    rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
+    return _sampled_functor(f, k, lambda samples: _sample_dets(samples[:, rows, cols]), (len(subsets) * k) ** 2)
+
+
+def _sampled_functor(f: FactorOfAutomorphy, degree: int, apply, size: int) -> FactorOfAutomorphy:
+    """The factor with values apply(A(u)), sampled on degree times the window of A."""
+    lo, hi = degree * f.A._lo, degree * (f.A._lo + len(f.A._c) - 1)
+    return FactorOfAutomorphy(f.torus, LaurentMatrix._from_coeffs(lo, f.A._sampled(lo, hi, apply, size)))
 
 
 def dual(f: FactorOfAutomorphy) -> FactorOfAutomorphy:

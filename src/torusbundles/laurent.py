@@ -15,9 +15,14 @@ supports stay finite and exactly representable.
 A scalar is a LaurentPoly, a dict from exponent to coefficient.  A
 LaurentMatrix is its lowest exponent plus one dense complex array of
 shape (K, n, n), coefficient slices of consecutive exponents: products
-loop over the K shifts of a batched matrix product, substitution u -> c u
-multiplies by the weights c^k, and det and the inverse of a monomial det
-matrix are sampled on roots of unity and recovered by an inverse FFT.
+loop over the K shifts of a batched matrix product, and substitution
+u -> c u multiplies by the weights c^k.
+
+det, the inverse of a monomial det matrix and the symmetric and exterior
+powers take one path, LaurentMatrix._sampled: evaluate at the roots of
+unity of a support window known in advance, apply a batched numeric map
+to all samples, and interpolate by an inverse FFT.  A one-point window
+takes no FFT and stays exact.  SAMPLE_BUDGET caps a window's size.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +65,10 @@ CLOSE_TOL = 1e-9
 
 #: points of the unit circle where passes_sampled_invertibility takes det
 INVERTIBILITY_SAMPLES = 16
+
+#: most elements a root table (window width x exponents) or a stack of
+#: samples (window width x n^2) may hold; wider windows raise ValueError
+SAMPLE_BUDGET = 1 << 22
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -564,22 +573,50 @@ class LaurentMatrix:
         return self._lo + first, self._lo + last
 
     def _at_roots(self, width: int) -> np.ndarray:
-        """Values at the roots of unity exp(2 pi i t / width), shape (width, n, n)."""
+        """Values at the roots of unity exp(2 pi i t / width), shape
+        (width, n, n); the one root of a one-point window is u = 1, where
+        the value is the sum of the coefficient slices."""
+        if width == 1:
+            return self._c.sum(axis=0)[None]
         k, n = len(self._c), self.n
         exps = (np.arange(width)[:, None] * np.arange(self._lo, self._lo + k)) % width
         w = np.exp((2j * np.pi / width) * exps)
         return (w @ self._c.reshape(k, n * n)).reshape(width, n, n)
 
+    def _sampled(self, lo: int, hi: int, apply: Callable[[np.ndarray], np.ndarray], size: int = 0) -> np.ndarray:
+        """Coefficients of u^lo .. u^hi, along axis 0, of a function of
+        this matrix whose support lies in that window: ``apply`` maps the
+        samples at the W = hi - lo + 1 roots of unity, shape (W, n, n),
+        to the function's values in one batch, and an inverse FFT
+        recovers the coefficients.  A one-point window takes no FFT, so
+        an exact ``apply`` gives exact coefficients.  Overflow gives inf
+        or nan, without a numpy warning, for the result's constructor to
+        reject.  A root table (W x K), samples (W x n^2) or ``size``
+        elements per sample of ``apply`` past SAMPLE_BUDGET raise
+        ValueError before anything is allocated.
+        """
+        width = hi - lo + 1
+        need = width * max(len(self._c), self.n ** 2, size)
+        if need > SAMPLE_BUDGET:
+            raise ValueError(
+                f"sampling window of width {width} needs {need} elements, "
+                f"more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = apply(self._at_roots(width))
+            if width == 1:
+                return vals
+            return (np.fft.fft(vals, axis=0) / width)[(lo + np.arange(width)) % width]
+
     def det(self) -> LaurentPoly:
         """Determinant as a LaurentPoly.
 
         The support of det lies in the window between the sums of the
-        rows' lowest and highest exponents.  det is sampled on the roots
-        of unity of that window, each sample by elimination, and its
-        coefficients recovered by an inverse FFT.  It is identically zero
+        rows' lowest and highest exponents, and det is sampled on it,
+        one batched determinant for all samples.  It is identically zero
         only when every sample is exactly 0.  A one point window means
         one exponent e_i per row, A(u) = diag(u^e_i) A(1), and det is
-        det A(1) u^(sum e_i).
+        det A(1) u^(sum e_i), taken by elimination.
         """
         if self._det is None:
             ext = self._row_extremes()
@@ -591,9 +628,7 @@ class LaurentMatrix:
                     self._det = LaurentPoly({lo: _pivot_det(self._c.sum(axis=0).tolist())})
                 else:
                     # non-finite samples are left to LaurentPoly to reject
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        vals = np.array([_pivot_det(m) for m in self._at_roots(hi - lo + 1).tolist()])
-                        coeffs = _interpolate(vals, lo).tolist()
+                    coeffs = self._sampled(lo, hi, _sample_dets).tolist()
                     self._det = LaurentPoly(dict(zip(range(lo, hi + 1), coeffs)))
         return self._det
 
@@ -602,8 +637,8 @@ class LaurentMatrix:
 
         Entry (i, j) is a cofactor that omits row j, divided by det =
         c u^k, so its support lies in [sum(lows) - max(lows) - k,
-        sum(highs) - min(highs) - k]; the inverse is sampled on the roots
-        of unity of that window and interpolated like det.
+        sum(highs) - min(highs) - k]; the samples are inverted in one
+        batch.
         """
         mono = self.det().is_monomial()
         if mono is None:
@@ -613,8 +648,7 @@ class LaurentMatrix:
         lows, highs = self._row_extremes()
         lo = int(lows.sum() - lows.max()) - mono[0]
         hi = int(highs.sum() - highs.min()) - mono[0]
-        vals = np.linalg.inv(self._at_roots(hi - lo + 1))
-        return LaurentMatrix._from_coeffs(lo, _interpolate(vals, lo))
+        return LaurentMatrix._from_coeffs(lo, self._sampled(lo, hi, np.linalg.inv))
 
     # -- io and display -----------------------------------------------------
 
@@ -648,14 +682,17 @@ def _pivot_det(m: list[list[complex]]) -> complex:
     return det
 
 
-def _interpolate(vals: np.ndarray, lo: int) -> np.ndarray:
-    """Coefficients of u^lo .. u^(lo + W - 1) from the values at the W
-    roots of unity along axis 0: FFT bin t collects the exponents
-    congruent to t mod W, and the support fits in one window."""
-    width = len(vals)
-    if width == 1:
-        return vals
-    return (np.fft.fft(vals, axis=0) / width)[(lo + np.arange(width)) % width]
+def _sample_dets(samples: np.ndarray) -> np.ndarray:
+    """Determinants over the last two axes of samples stacked along
+    axis 0.  Several samples take one batched np.linalg.det.  The one
+    sample of a one-point window is eliminated matrix by matrix with
+    _pivot_det, which keeps integer determinants such as that of
+    [[0, 1], [3, 0]] exact; np.linalg.det gives -3.0000000000000004."""
+    if len(samples) > 1:
+        return np.linalg.det(samples)
+    lead = samples.shape[:-2]
+    mats = samples.reshape(math.prod(lead), *samples.shape[-2:]).tolist()
+    return np.array([_pivot_det(m) for m in mats], dtype=complex).reshape(lead)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,16 @@ def test_non_integer_size_is_domain_error(capsys, monkeypatch):
         assert len(err.splitlines()) == 1 and "size n must be an integer" in err
 
 
+def test_wide_exponent_window_is_a_one_line_error(capsys, monkeypatch):
+    # det would sample a window of 200001 points
+    wide = {"torus": {"tau": [0, 1]},
+            "A": {"n": 1, "entries": [[{"k": k, "re": 1.0, "im": 0.0} for k in (-100000, 100000)]]}}
+    code, out, err = run(capsys, monkeypatch, ["degree"], stdin=json.dumps(wide))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ValueError: sampling window of width 200001 ")
+
+
 def test_malformed_json_is_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["degree"], stdin="{not json")
     assert code == 1
@@ -337,9 +347,9 @@ def test_missing_required_argument_is_usage_error(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 # Exponents are in [-3, 3] or beyond any array size (1e308, 10^400): a
-# LaurentMatrix is dense over its exponent window and det samples a table
-# of window x window points, so two exponents 10^5 apart would ask for
-# hundreds of GiB, a limit of the representation and not of the readers.
+# LaurentMatrix is dense over its exponent window, so two exponents 10^9
+# apart would ask for 16 GB before det's SAMPLE_BUDGET is consulted, a
+# limit of the representation and not of the readers.
 _junk = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
     | st.sampled_from([0.5, -1.0, 1e308, 10 ** 400, float("inf"), float("nan")]),

@@ -81,6 +81,30 @@ def test_iterate_negative_is_inverse(any_torus, rng):
         assert matrices_close(pos @ neg, LaurentMatrix.identity(2), 1e-8)
 
 
+def test_negative_iterates_of_a_mixed_factor(torus):
+    # det A = 2 while the sampled det of A(m, u) carries noise terms from
+    # m = 2 on, so the negative iterates invert A, not A(m, u)
+    s = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    t = np.array([[1, 2, 0], [0, 1, 0], [0, 1, 1]])
+    mid = LaurentMatrix.diagonal([LaurentPoly.monomial(-1), 1, LaurentPoly.monomial(1)])
+    f = FactorOfAutomorphy(torus, LaurentMatrix.from_constant(s) @ mid @ LaurentMatrix.from_constant(t))
+    q = torus.q
+    for m in (1, 2, 3, 4):
+        got = iterate(f, -m)
+        for u0 in np.exp(2j * np.pi * np.array([0.1234, 0.4321, 0.777])):
+            want = np.eye(3)
+            for i in range(1, m + 1):
+                # A(q^-i u) has condition number near |q|^(-2i); from m = 3
+                # on numpy's inverse of it loses more than the tolerance,
+                # so it is inverted through its factors instead
+                d = np.array([q ** i / u0, 1, u0 / q ** i])
+                if m <= 2:
+                    want = np.linalg.inv(s @ np.diag(d) @ t) @ want
+                else:
+                    want = np.linalg.inv(t) @ np.diag(1 / d) @ np.linalg.inv(s) @ want
+            assert np.max(np.abs(got.eval_at(u0) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_iterate_negative_needs_monomial_det(torus):
     # invertible on the circle but det = 1 + u/2 is not a monomial
     f = FactorOfAutomorphy(torus, LaurentMatrix([[LaurentPoly({0: 1, 1: 0.5})]]))

@@ -1,5 +1,6 @@
 """Tensor, symmetric, exterior and dual constructions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -51,11 +52,12 @@ def test_sym_square_of_general_2x2(torus):
 
 
 def test_sym_of_unipotent_is_binomial(torus):
+    # exactly: a constant input is one sample, and the products are exact
     f = _unipotent(torus)
-    for n in (2, 3, 5):
+    for n in range(10):
         m = sym_power(f, n).A.constant_matrix()
         want = np.array([[float(math.comb(j, i)) for j in range(n + 1)] for i in range(n + 1)])
-        assert np.allclose(m, want)
+        assert np.array_equal(m, want)
 
 
 def test_sym_dimension_and_identity(torus, rng):
@@ -124,6 +126,107 @@ def test_wedge_is_multiplicative(torus, rng):
     lhs = wedge_power(_const_factor(torus, c1 @ c2), 2).A
     rhs = wedge_power(_const_factor(torus, c1), 2).A @ wedge_power(_const_factor(torus, c2), 2).A
     assert matrices_close(lhs, rhs, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# oracles at points off the sampling grid, exactness, sampling count
+# ---------------------------------------------------------------------------
+
+#: points of |u| = 1 off the roots of unity the functors sample
+_OFF_GRID = np.exp(2j * np.pi * np.array([0.1234, 0.4321, 0.777]))
+
+
+def _dense_factor(rng, torus, n, lo, hi):
+    """S diag(c_k u^e_k) T with exponents alternating between hi and lo,
+    and its values computed with numpy alone."""
+    s, t = random_constant_invertible(rng, n), random_constant_invertible(rng, n)
+    exps = np.array([hi if k % 2 else lo for k in range(n)])
+    c = np.exp(2j * np.pi * rng.uniform(size=n))
+    diag = LaurentMatrix.diagonal([LaurentPoly.monomial(int(e), ck) for e, ck in zip(exps, c)])
+    a = LaurentMatrix.from_constant(s) @ diag @ LaurentMatrix.from_constant(t)
+    return FactorOfAutomorphy(torus, a), lambda u: s @ np.diag(c * u ** exps.astype(float)) @ t
+
+
+def _permanent(m):
+    k = len(m)
+    return sum(math.prod(m[i, p[i]] for i in range(k)) for p in itertools.permutations(range(k)))
+
+
+def _sym_oracle(a, k):
+    """per(A[mu, nu]) / mu! over the degree k monomials, descending
+    lexicographic, with variable i repeated mu_i times."""
+    n = len(a)
+    basis = sorted((tuple(c.count(i) for i in range(n)) for c in itertools.combinations_with_replacement(range(n), k)),
+                   reverse=True)
+    rep = [[i for i in range(n) for _ in range(mu[i])] for mu in basis]
+    return np.array([
+        [_permanent(a[np.ix_(rows, cols)]) / math.prod(map(math.factorial, mu)) for cols in rep]
+        for mu, rows in zip(basis, rep)
+    ])
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (4, 3)])
+@pytest.mark.parametrize("support", [(-1, 1), (-2, 2)])
+def test_sym_power_matches_permanents_off_grid(torus, rng, n, k, support):
+    f, values = _dense_factor(rng, torus, n, *support)
+    got = sym_power(f, k).A
+    for u0 in _OFF_GRID:
+        want = _sym_oracle(values(u0), k)
+        assert np.max(np.abs(got.eval_at(u0) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4)])
+@pytest.mark.parametrize("support", [(-1, 1), (-2, 2)])
+def test_wedge_power_matches_numpy_minors_off_grid(torus, rng, n, k, support):
+    f, values = _dense_factor(rng, torus, n, *support)
+    got = wedge_power(f, k).A
+    subsets = list(itertools.combinations(range(n), k))
+    for u0 in _OFF_GRID:
+        a = values(u0)
+        want = np.array([[np.linalg.det(a[np.ix_(i, j)]) for j in subsets] for i in subsets])
+        compound = got.eval_at(u0)
+        assert np.max(np.abs(compound - want)) <= 1e-9 * np.max(np.abs(want))
+        # Sylvester-Franke: det of the k-th compound is det A^C(n-1, k-1)
+        power = np.linalg.det(a) ** math.comb(n - 1, k - 1)
+        assert abs(np.linalg.det(compound) - power) <= 1e-9 * abs(power)
+
+
+def _integer_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _integer_det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def test_wedge_of_integer_constants_is_exact(torus):
+    for m in ([[0, 1], [3, 0]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
+        g = _const_factor(torus, np.array(m, dtype=float))
+        for k in range(len(m) + 1):
+            subsets = list(itertools.combinations(range(len(m)), k))
+            want = [[_integer_det([[m[i][j] for j in cols] for i in rows]) for cols in subsets] for rows in subsets]
+            assert np.array_equal(wedge_power(g, k).A.constant_matrix(), np.array(want, dtype=complex))
+
+
+def test_functors_sample_the_factor_once(torus, rng, monkeypatch):
+    f, _ = _dense_factor(rng, torus, 4, -1, 1)
+    sampled = []
+    at_roots = LaurentMatrix._at_roots
+
+    def counted(m, width):
+        sampled.append(m is f.A)
+        return at_roots(m, width)
+
+    def forbidden(*args):
+        raise AssertionError("a sampled functor multiplies Laurent polynomials or takes a Laurent det")
+
+    monkeypatch.setattr(LaurentMatrix, "_at_roots", counted)
+    monkeypatch.setattr(LaurentMatrix, "det", forbidden)
+    monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", forbidden)
+    for functor in (sym_power, wedge_power):
+        sampled.clear()
+        functor(f, 2)
+        # the other calls sample the result for its invertibility check
+        assert sampled.count(True) == 1
 
 
 # ---------------------------------------------------------------------------

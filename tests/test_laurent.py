@@ -203,6 +203,14 @@ def test_inverse_and_iterate_match_numpy_at_rank_12(torus, rng):
         assert np.max(np.abs(backward.eval_at(u0) - want)) <= 1e-8 * np.max(np.abs(want))
 
 
+def test_sampling_budget_names_the_width():
+    wide = LaurentMatrix([[LaurentPoly({-3000: 1, 3000: 1})]])
+    with pytest.raises(ValueError, match="sampling window of width 6001 needs 36012001 elements"):
+        wide.det()
+    inside = LaurentPoly({-500: 1, 500: 2j})
+    assert poly_close(LaurentMatrix([[inside]]).det(), inside, 1e-12)
+
+
 def test_det_size_switch_consistent_on_kron(rng):
     a = random_monomial_det_matrix(rng, 3, -1, 1)
     b = random_monomial_det_matrix(rng, 3, -1, 1)
