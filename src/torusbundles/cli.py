@@ -9,6 +9,11 @@ Complex numbers on the command line use the compact a+bi form with no
 spaces, for example 0.3+1.1i or 2i or -0.5.  Exit codes: 0 on success,
 1 on a domain error (bad torus, non invertible matrix, malformed JSON),
 2 on a usage error.
+
+Each subcommand handler returns its output document and prints nothing;
+main alone renders the document (--format json or table) and maps the
+outcome to the exit code, so a domain error prints one stderr line and
+no stdout.
 """
 
 from __future__ import annotations
@@ -115,59 +120,42 @@ def _table(obj, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "table":
-        print(_table(obj))
-    else:
-        print(json.dumps(obj))
-
-
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each returns its output document, which main renders
 # ---------------------------------------------------------------------------
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args) -> dict:
     t = Torus(parse_complex(args.tau))
-    f = normal_form(t, args.rank, args.degree, parse_complex(args.param))
-    _emit(factor_to_json(f), args.format)
-    return 0
+    return factor_to_json(normal_form(t, args.rank, args.degree, parse_complex(args.param)))
 
 
-def _cmd_deg0_form(args) -> int:
+def _cmd_deg0_form(args) -> dict:
     t = Torus(parse_complex(args.tau))
-    f = normal_form_deg0(t, args.rank, parse_complex(args.param))
-    _emit(factor_to_json(f), args.format)
-    return 0
+    return factor_to_json(normal_form_deg0(t, args.rank, parse_complex(args.param)))
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args) -> dict:
     f = factor_from_json(_load_json(args.left))
     g = factor_from_json(_load_json(args.right))
-    _emit(factor_to_json(tensor(f, g)), args.format)
-    return 0
+    return factor_to_json(tensor(f, g))
 
 
-def _cmd_sym(args) -> int:
-    _emit(factor_to_json(sym_power(_input_factor(args), args.n)), args.format)
-    return 0
+def _cmd_sym(args) -> dict:
+    return factor_to_json(sym_power(_input_factor(args), args.n))
 
 
-def _cmd_wedge(args) -> int:
-    _emit(factor_to_json(wedge_power(_input_factor(args), args.k)), args.format)
-    return 0
+def _cmd_wedge(args) -> dict:
+    return factor_to_json(wedge_power(_input_factor(args), args.k))
 
 
-def _cmd_dual(args) -> int:
-    _emit(factor_to_json(dual(_input_factor(args))), args.format)
-    return 0
+def _cmd_dual(args) -> dict:
+    return factor_to_json(dual(_input_factor(args)))
 
 
-def _cmd_pullback(args) -> int:
+def _cmd_pullback(args) -> dict:
     f = _input_factor(args)
-    ctx = IsogenyContext.for_degree(f.torus, args.r)
-    _emit(factor_to_json(pullback(ctx, f)), args.format)
-    return 0
+    return factor_to_json(pullback(IsogenyContext.for_degree(f.torus, args.r), f))
 
 
 def _ctx_from_cover(cover: Torus, r: int) -> IsogenyContext:
@@ -175,67 +163,51 @@ def _ctx_from_cover(cover: Torus, r: int) -> IsogenyContext:
     return IsogenyContext(Torus(cover.tau / r), cover, r)
 
 
-def _cmd_pushforward(args) -> int:
+def _cmd_pushforward(args) -> dict:
     f = _input_factor(args)
-    ctx = _ctx_from_cover(f.torus, args.r)
-    _emit(factor_to_json(pushforward(ctx, f)), args.format)
-    return 0
+    return factor_to_json(pushforward(_ctx_from_cover(f.torus, args.r), f))
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args) -> dict:
     f = _input_factor(args)
-    ctx = _ctx_from_cover(f.torus, args.r)
-    blocks = roundtrip_diag(ctx, f)
-    _emit({"blocks": [factor_to_json(b) for b in blocks]}, args.format)
-    return 0
+    blocks = roundtrip_diag(_ctx_from_cover(f.torus, args.r), f)
+    return {"blocks": [factor_to_json(b) for b in blocks]}
 
 
-def _cmd_iterate(args) -> int:
+def _cmd_iterate(args) -> dict:
     f = _input_factor(args)
-    out = iterate(f, args.m)
-    _emit({"torus": torus_to_json(f.torus), "A": matrix_to_json(out)}, args.format)
-    return 0
+    return {"torus": torus_to_json(f.torus), "A": matrix_to_json(iterate(f, args.m))}
 
 
-def _cmd_degree(args) -> int:
-    _emit({"degree": degree(_input_factor(args))}, args.format)
-    return 0
+def _cmd_degree(args) -> dict:
+    return {"degree": degree(_input_factor(args))}
 
 
-def _cmd_rank(args) -> int:
-    _emit({"rank": rank(_input_factor(args))}, args.format)
-    return 0
+def _cmd_rank(args) -> dict:
+    return {"rank": rank(_input_factor(args))}
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args) -> dict:
     d = recognize_deg0(_input_factor(args), nu_range=args.nu_range)
-    if d is None:
-        _emit({"recognized": False, "descriptor": None}, args.format)
-    else:
-        _emit({"recognized": True, "descriptor": descriptor_to_json(d)}, args.format)
-    return 0
+    return {"recognized": d is not None, "descriptor": None if d is None else descriptor_to_json(d)}
 
 
-def _cmd_trivial_check(args) -> int:
+def _cmd_trivial_check(args) -> dict:
     f = _input_factor(args)
     if f.A.n == 1:
         nu = is_trivial_rank1_constant(f, nu_range=args.nu_range)
-        _emit({"family": "rank1-constant", "trivial": nu is not None, "nu": nu}, args.format)
-        return 0
+        return {"family": "rank1-constant", "trivial": nu is not None, "nu": nu}
     if f.A.n == 2:
         b = is_trivial_unipotent2(f)
-        out = {"family": "unipotent2", "trivial": b is not None, "b": None if b is None else terms_to_json(b.terms())}
-        _emit(out, args.format)
-        return 0
+        return {"family": "unipotent2", "trivial": b is not None, "b": None if b is None else terms_to_json(b.terms())}
     raise ValueError(f"trivial-check handles sizes 1 and 2, got {f.A.n}")
 
 
-def _cmd_cg_table(args) -> int:
-    _emit({"p": args.p, "q": args.q, "indices": clebsch_gordan_F(args.p, args.q)}, args.format)
-    return 0
+def _cmd_cg_table(args) -> dict:
+    return {"p": args.p, "q": args.q, "indices": clebsch_gordan_F(args.p, args.q)}
 
 
-def _cmd_theta_check(args) -> int:
+def _cmd_theta_check(args) -> dict:
     t = Torus(parse_complex(args.tau))
     xi = ThetaCharacteristic(args.a, args.b)
 
@@ -246,17 +218,14 @@ def _cmd_theta_check(args) -> int:
         return e_factor(t, xi, p, n, z)
 
     rng = np.random.default_rng(args.seed)
-    report = verify_theta_function(t, f, s, args.samples, rng=rng, tolerance=args.tolerance)
-    _emit(report.to_json_dict(), args.format)
-    return 0
+    return verify_theta_function(t, f, s, args.samples, rng=rng, tolerance=args.tolerance).to_json_dict()
 
 
-def _cmd_verify_witness(args) -> int:
+def _cmd_verify_witness(args) -> dict:
     f = factor_from_json(_load_json(args.left))
     g = factor_from_json(_load_json(args.right))
     w = EquivalenceWitness(matrix_from_json(_load_json(args.witness)))
-    _emit({"valid": check_witness(f, g, w)}, args.format)
-    return 0
+    return {"valid": check_witness(f, g, w)}
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +336,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        print(_table(doc) if args.format == "table" else json.dumps(doc))
     except (TorusBundleError, ValueError, TypeError, KeyError, OverflowError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

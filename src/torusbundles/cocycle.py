@@ -26,12 +26,11 @@ from .laurent import (
     LaurentPoly,
     NotNilpotent,
     Torus,
+    _invertibility_failure,
     _require_same_torus,
-    _sampled_abs_dets,
     matrices_close,
     matrix_from_json,
     matrix_to_json,
-    passes_sampled_invertibility,
     torus_from_json,
     torus_to_json,
 )
@@ -67,12 +66,8 @@ class FactorOfAutomorphy:
     A: LaurentMatrix
 
     def __post_init__(self) -> None:
-        if not passes_sampled_invertibility(self.A):
-            dets = _sampled_abs_dets(self.A)
-            taken = (
-                f"|det A(1)| = {dets:.3g}" if dets.ndim == 0
-                else f"|det A| from {dets.min():.3g} to {dets.max():.3g} at {dets.size} points of |u| = 1"
-            )
+        taken = _invertibility_failure(self.A, "A")
+        if taken:
             raise ValueError(f"generator fails the sampled invertibility check ({taken})")
 
     @property
@@ -87,8 +82,9 @@ class EquivalenceWitness:
     B: LaurentMatrix
 
     def __post_init__(self) -> None:
-        if not passes_sampled_invertibility(self.B):
-            raise ValueError("witness fails the sampled invertibility check")
+        taken = _invertibility_failure(self.B, "B")
+        if taken:
+            raise ValueError(f"witness fails the sampled invertibility check ({taken})")
 
 
 def factor_to_json(f: FactorOfAutomorphy) -> dict:
@@ -129,14 +125,9 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     return acc
 
 
-def check_witness(
-    f: FactorOfAutomorphy,
-    g: FactorOfAutomorphy,
-    w: EquivalenceWitness,
-    tol: float = CLOSE_TOL,
-) -> bool:
+def check_witness(f: FactorOfAutomorphy, g: FactorOfAutomorphy, w: EquivalenceWitness) -> bool:
     """Whether A(u) B(u) = B(q u) A'(u) holds coefficientwise, to
-    tol * (1 + largest coefficient of either side)."""
+    CLOSE_TOL * (1 + largest coefficient of either side)."""
     _require_same_torus(f.torus, g.torus)
     if f.A.n != g.A.n or w.B.n != f.A.n:
         raise ValueError(
@@ -144,7 +135,7 @@ def check_witness(
         )
     lhs = f.A @ w.B
     rhs = w.B.substitute_scaled(f.torus.q) @ g.A
-    return matrices_close(lhs, rhs, tol)
+    return matrices_close(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +340,7 @@ def _jordan_basis(walks: list[_PowerWalk]) -> np.ndarray:
     return s
 
 
-def equivalent_constant(
-    a,
-    b,
-    eigenvalues: Optional[Sequence[complex]] = None,
-    tol: float = 1e-8,
-) -> Optional[EquivalenceWitness]:
+def equivalent_constant(a, b, eigenvalues: Optional[Sequence[complex]] = None) -> Optional[EquivalenceWitness]:
     """Decide equivalence of two constant factors and produce a witness.
 
     Constant factors are equivalent exactly when the matrices are similar,
@@ -372,7 +358,7 @@ def equivalent_constant(
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     n = am.shape[0]
     scale = 1.0 + max(float(np.max(np.abs(am))), float(np.max(np.abs(bm))))
-    if float(np.max(np.abs(am - bm))) <= tol * scale:
+    if float(np.max(np.abs(am - bm))) <= _CLUSTER_TOL * scale:
         return EquivalenceWitness(LaurentMatrix.identity(n))
 
     def diag_values(m: np.ndarray) -> Sequence[complex]:
@@ -391,7 +377,7 @@ def equivalent_constant(
     if len(ca) != len(cb):
         return None
     for (va, ma), (vb, mb) in zip(ca, cb):
-        if ma != mb or abs(va - vb) > tol * (1.0 + abs(va)):
+        if ma != mb or abs(va - vb) > _CLUSTER_TOL * (1.0 + abs(va)):
             return None
     walks_a = [_walk_powers(am, v) for v, _ in ca]
     walks_b = [_walk_powers(bm, v) for v, _ in cb]

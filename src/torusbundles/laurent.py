@@ -22,7 +22,8 @@ det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
 unity of a support window known in advance, apply a batched numeric map
 to all samples, and interpolate by an inverse FFT.  A one-point window
-takes no FFT and stays exact.  SAMPLE_BUDGET caps a window's size.
+takes no FFT and stays exact.  SAMPLE_BUDGET caps the size of a window,
+and of the coefficient array of a matrix built from rows.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ CLOSE_TOL = 1e-9
 #: points of the unit circle where passes_sampled_invertibility takes det
 INVERTIBILITY_SAMPLES = 16
 
-#: most elements a root table (window width x exponents) or a stack of
-#: samples (window width x n^2) may hold; wider windows raise ValueError
+#: most elements a coefficient array (exponent window width x n^2), a root
+#: table (window width x exponents) or a stack of samples (window width x
+#: n^2) may hold; wider windows raise ValueError
 SAMPLE_BUDGET = 1 << 22
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
@@ -121,8 +123,8 @@ class Torus:
         object.__setattr__(self, "q", s * s)
 
 
-def same_torus(t1: Torus, t2: Torus, tol: float = 1e-12) -> bool:
-    return abs(t1.tau - t2.tau) <= tol * (1.0 + abs(t1.tau))
+def same_torus(t1: Torus, t2: Torus) -> bool:
+    return abs(t1.tau - t2.tau) <= 1e-12 * (1.0 + abs(t1.tau))
 
 
 def _require_same_torus(t1: Torus, t2: Torus) -> None:
@@ -140,26 +142,15 @@ class LaurentPoly:
 
     Stored as a dict from integer exponent to complex coefficient.
     Construction prunes coefficients below ``PRUNE_REL`` times the largest
-    one (or below an explicit absolute ``threshold``) and rejects
-    non-finite values.
+    one and rejects non-finite values.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Optional[Mapping[int, complex]] = None, threshold: Optional[float] = None):
-        c: dict[int, complex] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not isinstance(k, (int, np.integer)):
-                    raise TypeError(f"exponent must be an integer, got {k!r}")
-                v = complex(v)
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise ValueError(f"non-finite coefficient {v!r} at exponent {k}")
-                if v != 0:
-                    c[int(k)] = c.get(int(k), 0j) + v
+    def __init__(self, coeffs: Optional[Mapping[int, complex]] = None):
+        c = _finite_terms(coeffs or {})
         if c:
-            if threshold is None:
-                threshold = PRUNE_REL * max(abs(v) for v in c.values())
+            threshold = PRUNE_REL * max(abs(v) for v in c.values())
             c = {k: v for k, v in c.items() if abs(v) > threshold}
         self._c = c
 
@@ -286,7 +277,9 @@ class LaurentPoly:
         c = complex(c)
         if c == 0:
             raise ValueError("substitution scale must be nonzero")
-        return LaurentPoly({k: v * c ** k for k, v in self._c.items()}, threshold=0.0)
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = _finite_terms({k: v * c ** k for k, v in self._c.items()})
+        return out
 
     def __call__(self, u0: complex) -> complex:
         return sum((v * complex(u0) ** k for k, v in self._c.items()), 0j)
@@ -326,6 +319,21 @@ class LaurentPoly:
             else:
                 parts.append(f"{cs}*u^{k}")
         return " + ".join(parts)
+
+
+def _finite_terms(coeffs: Mapping[int, complex]) -> dict[int, complex]:
+    """The nonzero terms of ``coeffs``, repeated exponents summed; a
+    non-integer exponent raises TypeError, a non-finite value ValueError."""
+    c: dict[int, complex] = {}
+    for k, v in coeffs.items():
+        if not isinstance(k, (int, np.integer)):
+            raise TypeError(f"exponent must be an integer, got {k!r}")
+        v = complex(v)
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"non-finite coefficient {v!r} at exponent {k}")
+        if v != 0:
+            c[int(k)] = c.get(int(k), 0j) + v
+    return c
 
 
 def _as_poly(x) -> Optional[LaurentPoly]:
@@ -384,7 +392,9 @@ class LaurentMatrix:
             entries.append([self._coerce(e) for e in row])
         exps = [k for row in entries for p in row for k in p._c]
         lo = min(exps, default=0)
-        c = np.zeros((max(exps, default=lo - 1) - lo + 1, n, n), dtype=complex)
+        width = max(exps, default=lo - 1) - lo + 1
+        _check_budget("exponent", width, n * n)
+        c = np.zeros((width, n, n), dtype=complex)
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
                 for k, v in p._c.items():
@@ -596,12 +606,7 @@ class LaurentMatrix:
         ValueError before anything is allocated.
         """
         width = hi - lo + 1
-        need = width * max(len(self._c), self.n ** 2, size)
-        if need > SAMPLE_BUDGET:
-            raise ValueError(
-                f"sampling window of width {width} needs {need} elements, "
-                f"more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
-            )
+        _check_budget("sampling", width, max(len(self._c), self.n ** 2, size))
         with np.errstate(over="ignore", invalid="ignore"):
             vals = apply(self._at_roots(width))
             if width == 1:
@@ -655,6 +660,18 @@ class LaurentMatrix:
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows())
         return f"LaurentMatrix[{body}]"
+
+
+def _check_budget(what: str, width: int, per_point: int) -> None:
+    """Raise ValueError, before anything is allocated, when a window of
+    ``width`` points holding ``per_point`` elements each would hold more
+    than SAMPLE_BUDGET elements."""
+    need = width * per_point
+    if need > SAMPLE_BUDGET:
+        raise ValueError(
+            f"{what} window of width {width} needs {need} elements, "
+            f"more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
+        )
 
 
 def _pivot_det(m: list[list[complex]]) -> complex:
@@ -727,38 +744,41 @@ def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
 
 
-def _sampled_abs_dets(mat: LaurentMatrix):
-    """|det mat| where passes_sampled_invertibility judges it: one scalar,
-    |det mat(1)|, when every row holds one exponent, else an array over
-    the INVERTIBILITY_SAMPLES roots of unity.  An overflowed or invalid
-    det reads inf or nan, without a numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # at most n live (exponent, row) pairs: one exponent per row, or a
-        # zero row, where det mat(1) is exactly 0 as every sample would be
-        if np.count_nonzero(mat._c.any(axis=2)) <= mat.n:
-            return abs(np.linalg.det(mat._c.sum(axis=0)))
-        return np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
-
-
-def passes_sampled_invertibility(mat: LaurentMatrix) -> bool:
-    """Necessary condition for invertibility of u -> mat(u) on C*.
+def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
+    """The sampled invertibility check of u -> mat(u) on C*: None when mat
+    passes, else the determinants it took, as text naming mat ``name``.
 
     Takes the determinants of mat at INVERTIBILITY_SAMPLES equally spaced
     points of the unit circle and flags matrices whose determinant is
     zero, infinite or nan there, or degenerates by more than nine orders
-    of magnitude between sample points.  Scale free, so tiny but honest
-    determinants (for instance high powers of q) pass.
+    of magnitude between sample points: "|det A| from 0 to 2 at 16
+    points of |u| = 1".  Scale free, so tiny but honest determinants (for
+    instance high powers of q) pass.  An overflowed or invalid det reads
+    inf or nan, without a numpy warning.
 
     When every row of mat holds a single exponent e_i (block companions,
     their isogeny translates), mat(u) = diag(u^e_i) mat(1) and |det| is
-    constant on the circle, so the criterion is one determinant:
-    0 < |det mat(1)| < inf.
+    constant on the circle, so the criterion is one determinant,
+    0 < |det mat(1)| < inf: "|det A(1)| = 0".
     """
-    dets = _sampled_abs_dets(mat)
-    if dets.ndim == 0:
-        return bool(0.0 < dets < math.inf)
-    top = dets.max()
-    return bool(top > 0.0 and dets.min() > 1e-9 * top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at most n live (exponent, row) pairs: one exponent per row, or a
+        # zero row, where det mat(1) is exactly 0 as every sample would be
+        if np.count_nonzero(mat._c.any(axis=2)) <= mat.n:
+            det = abs(np.linalg.det(mat._c.sum(axis=0)))
+            return None if 0.0 < det < math.inf else f"|det {name}(1)| = {det:.3g}"
+        _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(mat._c), mat.n ** 2))
+        dets = np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
+    low, top = dets.min(), dets.max()
+    if top > 0.0 and low > 1e-9 * top:
+        return None
+    return f"|det {name}| from {low:.3g} to {top:.3g} at {dets.size} points of |u| = 1"
+
+
+def passes_sampled_invertibility(mat: LaurentMatrix) -> bool:
+    """Whether mat passes the sampled invertibility check, a necessary
+    condition for invertibility on C*; see _invertibility_failure."""
+    return _invertibility_failure(mat, "A") is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Commands run in process through main(argv); stdin piping is simulated
 with StringIO so composed pipelines stay deterministic and fast.
 """
 
+import argparse
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -14,8 +16,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusbundles import LaurentMatrix, LaurentPoly, Torus, factor_from_json, matrices_close
-from torusbundles.cli import format_complex, main, parse_complex
+from torusbundles import (
+    FactorOfAutomorphy,
+    LaurentMatrix,
+    LaurentPoly,
+    Torus,
+    factor_from_json,
+    factor_to_json,
+    matrices_close,
+    matrix_to_json,
+    normal_form,
+    normal_form_deg0,
+)
+from torusbundles.cli import _build_parser, _table, format_complex, main, parse_complex
+from torusbundles.laurent import SAMPLE_BUDGET
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -283,6 +297,66 @@ def test_table_format(capsys, monkeypatch):
     assert "A (2 x 2):" in out
 
 
+# one valid invocation per subcommand: its arguments, where {factor} and
+# {witness} stand for files, and the document piped to stdin, if any
+_INVOCATIONS = {
+    "normal-form": (["--tau", "0+1i", "-r", "2", "-d", "1", "-a", "1"], None),
+    "deg0-form": (["--tau", "0+1i", "-r", "2", "-a", "0.5"], None),
+    "tensor": (["--left", "{factor}", "--right", "{factor}"], None),
+    "sym": (["-n", "2"], "factor"),
+    "wedge": (["-k", "2"], "factor"),
+    "dual": ([], "factor"),
+    "pullback": (["-r", "2"], "factor"),
+    "pushforward": (["-r", "2"], "factor"),
+    "roundtrip": (["-r", "2"], "factor"),
+    "iterate": (["-m", "2"], "factor"),
+    "degree": ([], "factor"),
+    "rank": ([], "factor"),
+    "recognize": ([], "deg0"),
+    "trivial-check": ([], "unipotent"),
+    "cg-table": (["-p", "3", "-q", "2"], None),
+    "theta-check": (["--tau", "0+1i", "--samples", "4"], None),
+    "verify-witness": (["--left", "{factor}", "--right", "{factor}", "--witness", "{witness}"], None),
+}
+
+
+def _subcommands():
+    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+def test_every_subcommand_has_an_invocation():
+    assert _subcommands() == sorted(_INVOCATIONS)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", _subcommands())
+def test_subcommand_prints_its_document_once(command, fmt, capsys, monkeypatch, tmp_path):
+    t = Torus(1j)
+    unipotent = LaurentMatrix([[1, LaurentPoly({1: 0.4, -2: 1.0})], [0, 1]])
+    docs = {
+        "factor": factor_to_json(normal_form(t, 2, 1, 1)),
+        "deg0": factor_to_json(normal_form_deg0(t, 2, 0.5)),
+        "unipotent": factor_to_json(FactorOfAutomorphy(t, unipotent)),
+        "witness": matrix_to_json(LaurentMatrix.identity(2)),
+    }
+    files = {}
+    for name in ("factor", "witness"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(docs[name]))
+    args, stdin = _INVOCATIONS[command]
+    argv = [command, *(a.format(**files) for a in args)]
+    stdin = None if stdin is None else json.dumps(docs[stdin])
+    code, out, err = run(capsys, monkeypatch, [*argv, "--format", "json"], stdin=stdin)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    if fmt == "table":
+        code, out, err = run(capsys, monkeypatch, [*argv, "--format", "table"], stdin=stdin)
+        assert (code, err) == (0, "")
+        assert out == _table(doc) + "\n"
+
+
 def test_bad_tau_is_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, [
         "normal-form", "--tau", "1-1i", "-r", "2", "-d", "1", "-a", "1"])
@@ -324,6 +398,35 @@ def test_wide_exponent_window_is_a_one_line_error(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("ValueError: sampling window of width 200001 ")
+
+
+def test_wide_inputs_are_refused_before_allocation(capsys, monkeypatch):
+    # [[u^-1e6, u^1e6], [0, 1]] would hold 2000001 x 4 coefficients, past
+    # the budget.  u^-2e6 + 3 u^2e6 holds 4000001 (64 MB, within it), and
+    # the 16-point invertibility sample of it would need a 16 x 4000001
+    # root table, 1 GB.  The peak is bounded by the largest coefficient
+    # array the budget admits, 16 bytes x SAMPLE_BUDGET = 64 MiB, plus a
+    # quarter for masks of its slices.
+    def term(k, re):
+        return {"k": k, "re": re, "im": 0.0}
+
+    cases = (
+        (2, [[term(-10 ** 6, 1.0)], [term(10 ** 6, 1.0)], [], [term(0, 1.0)]],
+         "exponent window of width 2000001 needs 8000004 elements"),
+        (1, [[term(-2 * 10 ** 6, 1.0), term(2 * 10 ** 6, 3.0)]],
+         "sampling window of width 16 needs 64000016 elements"),
+    )
+    for n, entries, message in cases:
+        stdin = json.dumps({"torus": {"tau": [0, 1]}, "A": {"n": n, "entries": entries}})
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, monkeypatch, ["degree"], stdin=stdin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == f"ValueError: {message}, more than SAMPLE_BUDGET = {SAMPLE_BUDGET}\n"
+        assert peak < 16 * SAMPLE_BUDGET * 5 // 4
 
 
 def test_malformed_json_is_domain_error(capsys, monkeypatch):

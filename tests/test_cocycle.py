@@ -168,6 +168,17 @@ def test_witness_size_check(torus, rng):
         check_witness(f, g, EquivalenceWitness(LaurentMatrix.identity(2)))
 
 
+def test_witness_error_names_its_determinants():
+    # 1 + u vanishes at u = -1, where the sample reads roundoff
+    for b, taken in (
+        (LaurentMatrix([[1, 1], [1, 1]]), "|det B(1)| = 0"),
+        (LaurentMatrix([[LaurentPoly({0: 1, 1: 1})]]), "|det B| from 1.22e-16 to 2 at 16 points of |u| = 1"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            EquivalenceWitness(b)
+        assert str(exc.value) == f"witness fails the sampled invertibility check ({taken})"
+
+
 def test_witness_torus_check(rng):
     f = random_factor(rng, Torus(1j), 2)
     g = random_factor(rng, Torus(2j), 2)

@@ -1,0 +1,26 @@
+"""Smoke tests of the example scripts: each runs on small arguments in a
+fresh interpreter, exits 0 and prints its header line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("cg_table.py", ["--bound", "5"], "  p   q   predicted            computed"),
+    ("classification_sweep.py", ["--rmax", "3", "--dmax", "3"], "tau = (0.3+1.1j)   |q| = 0.000996"),
+    ("theta_residuals.py", ["--samples", "2", "--terms", "5", "10"],
+     "tau         xi                   terms=5      terms=10"),
+])
+def test_script_runs_and_prints_its_header(script, args, header):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header
