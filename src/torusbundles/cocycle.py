@@ -57,16 +57,18 @@ class FactorOfAutomorphy:
     nonzero and not degenerate along the unit circle.  When each row of
     A holds one exponent, as in block companions and their isogeny
     translates, |det A| is constant on the circle and the check is the
-    one determinant det A(1).  This is a necessary condition for A to
-    define a bundle, not a proof; the exact certificate is a monomial
-    determinant.
+    one determinant det A(1).  The verdict is kept on A, so building a
+    factor from a matrix judged before, such as the translates that
+    roundtrip_diag judges in one batch, takes no determinant.  This is
+    a necessary condition for A to define a bundle, not a proof; the
+    exact certificate is a monomial determinant.
     """
 
     torus: Torus
     A: LaurentMatrix
 
     def __post_init__(self) -> None:
-        taken = _invertibility_failure(self.A, "A")
+        taken = _invertibility_failure([self.A], "A")
         if taken:
             raise ValueError(f"generator fails the sampled invertibility check ({taken})")
 
@@ -82,7 +84,7 @@ class EquivalenceWitness:
     B: LaurentMatrix
 
     def __post_init__(self) -> None:
-        taken = _invertibility_failure(self.B, "B")
+        taken = _invertibility_failure([self.B], "B")
         if taken:
             raise ValueError(f"witness fails the sampled invertibility check ({taken})")
 

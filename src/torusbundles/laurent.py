@@ -16,7 +16,8 @@ A scalar is a LaurentPoly, a dict from exponent to coefficient.  A
 LaurentMatrix is its lowest exponent plus one dense complex array of
 shape (K, n, n), coefficient slices of consecutive exponents: products
 loop over the K shifts of a batched matrix product, and substitution
-u -> c u multiplies by the weights c^k.
+u -> c u multiplies by the weights c^k, for several scales c in one
+broadcast.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -379,7 +380,7 @@ class LaurentMatrix:
     coefficient of the whole result, not entry by entry.
     """
 
-    __slots__ = ("_lo", "_c", "_det")
+    __slots__ = ("_lo", "_c", "_det", "_judged")
 
     def __init__(self, rows: Sequence[Sequence], prune: bool = True):
         n = len(rows)
@@ -409,14 +410,18 @@ class LaurentMatrix:
             if not math.isfinite(top):
                 raise ValueError(f"non-finite coefficient in a {n} x {n} matrix")
             c = np.where(mag > PRUNE_REL * top, c, 0)
-        live = np.flatnonzero(c.reshape(len(c), n * n).any(axis=1))
+        live = c.reshape(len(c), n * n).any(axis=1).nonzero()[0]
         if live.size == 0:
             lo, c = 0, c[:0]
         else:
-            lo, c = lo + int(live[0]), c[live[0]:live[-1] + 1]
+            first, last = int(live[0]), int(live[-1])
+            if first or last < len(c) - 1:
+                lo, c = lo + first, c[first:last + 1]
         self._lo = lo
         self._c = c
         self._det: Optional[LaurentPoly] = None
+        # (lowest, highest |det|, points) of the invertibility check, once judged
+        self._judged: Optional[tuple[float, float, int]] = None
 
     @classmethod
     def _from_coeffs(cls, lo: int, c: np.ndarray, prune: bool = True) -> "LaurentMatrix":
@@ -534,18 +539,48 @@ class LaurentMatrix:
 
         No pruning, as for LaurentPoly.substitute_scaled.  The weights
         c^k are Python powers, which raise OverflowError past the double
-        range; a coefficient that overflows in the product raises
-        ValueError.
+        range, or ZeroDivisionError when c^-k underflows to 0; a
+        coefficient that overflows in the product raises ValueError.
         """
-        c = complex(c)
-        if c == 0:
-            raise ValueError("substitution scale must be nonzero")
-        weights = np.array([c ** k for k in range(self._lo, self._lo + len(self._c))], dtype=complex)
+        translates, failure = self._translates([c])
+        if failure is not None:
+            raise failure
+        return translates[0]
+
+    def _translates(self, scales: Sequence[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
+        """The matrices self(c u) for the scales c in order, as views of
+        one (len(scales), K, n, n) stack: one broadcast multiply by the
+        weights c^k and one finiteness test.  Stops at the first scale
+        whose substitution fails, as substitute_scaled describes, and
+        returns the translates before it with that error, or None."""
+        lo, width = self._lo, len(self._c)
+        weights, count, failure = [], 0, None
+        for c in scales:
+            c = complex(c)
+            if c == 0:
+                failure = ValueError("substitution scale must be nonzero")
+                break
+            try:
+                weights += [c ** k for k in range(lo, lo + width)]
+            except ArithmeticError as exc:
+                failure = exc
+                break
+            count += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._c * weights[:, None, None]
-        if not np.isfinite(out).all():
-            raise ValueError(f"non-finite coefficient after substituting u -> {c} u")
-        return LaurentMatrix._from_coeffs(self._lo, out, prune=False)
+            # self._c[None], not self._c: numpy picks its multiply loop by the
+            # operands' strides, and this way each element takes the loop,
+            # and gets the bytes, of the one-scale product _c * w[:, None, None]
+            out = self._c[None] * np.array(weights, dtype=complex).reshape(count, width, 1, 1)
+            # a finite sum means finite terms; only an overflowed or
+            # invalid sum needs the test term by term
+            suspect = not cmath.isfinite(out.sum())
+        if suspect:
+            finite = np.isfinite(out).all(axis=(1, 2, 3))
+            if not finite.all():
+                j = int(finite.argmin())
+                failure = ValueError(f"non-finite coefficient after substituting u -> {complex(scales[j])} u")
+                out = out[:j]
+        return [LaurentMatrix._from_coeffs(lo, out[i], prune=False) for i in range(len(out))], failure
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1), prune=False)
@@ -744,9 +779,11 @@ def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
 
 
-def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
-    """The sampled invertibility check of u -> mat(u) on C*: None when mat
-    passes, else the determinants it took, as text naming mat ``name``.
+def _invertibility_failure(mats: Sequence[LaurentMatrix], name: str) -> Optional[str]:
+    """The sampled invertibility check of u -> mat(u) on C* for each mat
+    of ``mats``, matrices of one size: None when every one passes, else
+    the determinants the first failing one took, as text naming it
+    ``name``.
 
     Takes the determinants of mat at INVERTIBILITY_SAMPLES equally spaced
     points of the unit circle and flags matrices whose determinant is
@@ -760,25 +797,51 @@ def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
     their isogeny translates), mat(u) = diag(u^e_i) mat(1) and |det| is
     constant on the circle, so the criterion is one determinant,
     0 < |det mat(1)| < inf: "|det A(1)| = 0".
+
+    The rule is picked per matrix, and both read the same numbers: the
+    lowest and highest |det| over the points taken, which must satisfy
+    0 < top and low > 1e-9 top.  The matrices not judged before are
+    judged together, with one batched determinant for the mat(1) of
+    those under the one-exponent rule and one for the samples of the
+    rest.  Each keeps its verdict, (low, top, points), so judging it
+    again takes no determinant; a matrix made from it starts without one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # at most n live (exponent, row) pairs: one exponent per row, or a
-        # zero row, where det mat(1) is exactly 0 as every sample would be
-        if np.count_nonzero(mat._c.any(axis=2)) <= mat.n:
-            det = abs(np.linalg.det(mat._c.sum(axis=0)))
-            return None if 0.0 < det < math.inf else f"|det {name}(1)| = {det:.3g}"
-        _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(mat._c), mat.n ** 2))
-        dets = np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
-    low, top = dets.min(), dets.max()
-    if top > 0.0 and low > 1e-9 * top:
-        return None
-    return f"|det {name}| from {low:.3g} to {top:.3g} at {dets.size} points of |u| = 1"
+    todo = [m for m in mats if m._judged is None]
+    if todo:
+        ones, rest = [], []
+        for m in todo:
+            # at most n live (exponent, row) pairs, as in any one-slice matrix:
+            # one exponent per row, or a zero row, where det mat(1) is exactly
+            # 0 as every sample would be
+            if len(m._c) <= 1 or np.count_nonzero(m._c.any(axis=2)) <= m.n:
+                ones.append(m)
+            else:
+                _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(m._c), m.n ** 2))
+                rest.append(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ones:
+                # abs of each numpy scalar, as np.abs of an array can differ
+                # from it in the last bit
+                for m, det in zip(ones, np.linalg.det(np.array([m._c.sum(axis=0) for m in ones]))):
+                    det = float(abs(det))
+                    m._judged = (det, det, 1)
+            if rest:
+                dets = np.abs(np.linalg.det(np.array([m._at_roots(INVERTIBILITY_SAMPLES) for m in rest])))
+                for m, low, top in zip(rest, dets.min(axis=1).tolist(), dets.max(axis=1).tolist()):
+                    m._judged = (low, top, INVERTIBILITY_SAMPLES)
+    for m in mats:
+        low, top, points = m._judged
+        if not (top > 0.0 and low > 1e-9 * top):
+            if points == 1:
+                return f"|det {name}(1)| = {low:.3g}"
+            return f"|det {name}| from {low:.3g} to {top:.3g} at {points} points of |u| = 1"
+    return None
 
 
 def passes_sampled_invertibility(mat: LaurentMatrix) -> bool:
     """Whether mat passes the sampled invertibility check, a necessary
     condition for invertibility on C*; see _invertibility_failure."""
-    return _invertibility_failure(mat, "A") is None
+    return _invertibility_failure([mat], "A") is None
 
 
 # ---------------------------------------------------------------------------

@@ -68,17 +68,18 @@ def theta_eval(t: Torus, xi: ThetaCharacteristic, z: complex, terms: int = 40) -
     """Truncated theta series, summing n from -terms to terms.
 
     The tail drops off like exp(-pi Im(tau) n^2), so the default 40 terms
-    is far below double precision for any modulus of interest.
+    is far below double precision for any modulus of interest.  The
+    terms are summed in one numpy expression; a term or a sum past the
+    double range raises OverflowError.
     """
     if terms < 1:
         raise ValueError(f"terms must be positive, got {terms}")
-    a, b = xi.a, xi.b
-    tau = t.tau
-    zb = complex(z) + b
-    total = 0j
-    for n in range(-terms, terms + 1):
-        na = n + a
-        total += cmath.exp(1j * cmath.pi * na * na * tau + 2j * cmath.pi * na * zb)
+    na = np.arange(-terms, terms + 1) + xi.a
+    zb = complex(z) + xi.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(np.exp(1j * np.pi * na * na * t.tau + 2j * np.pi * na * zb).sum())
+    if not cmath.isfinite(total):
+        raise OverflowError(f"theta series is not finite at z = {complex(z)}")
     return total
 
 

@@ -24,6 +24,7 @@ from torusbundles import (
     rank,
     roundtrip_diag,
 )
+from torusbundles.classify import _twisted_core
 from helpers import random_monomial_det_matrix, random_single_exponent_factor
 
 
@@ -187,3 +188,62 @@ def test_roundtrip_beyond_double_range_is_a_clean_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises((OverflowError, ValueError), match="complex exponentiation|non-finite coefficient"):
             roundtrip_diag(ctx, f)
+
+
+# the cells of the normal form grid whose round trip fails, with the
+# errors that building the translates one by one gives
+ROUNDTRIP_ERRORS = {
+    (1j, 15, 8): (ValueError, "non-finite coefficient after substituting u -> (6.27280941120809e-39+0j) u"),
+    (0.3 + 1.1j, 15, 8): (OverflowError, "complex exponentiation"),
+    (0.3 + 1.1j, 15, -8): (ValueError, "generator fails the sampled invertibility check (|det A(1)| = 0)"),
+    (0.3 + 1.1j, 16, 7): (OverflowError, "complex exponentiation"),
+    (0.3 + 1.1j, 16, -7): (ValueError, "generator fails the sampled invertibility check (|det A(1)| = 0)"),
+}
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
+def test_roundtrip_is_the_translates_byte_for_byte(tau):
+    # the twisted Jordan cores of the normal form grid r <= 16, |d| <= 8
+    t = Torus(tau)
+    for r in range(1, 17):
+        for d in range(-8, 9):
+            rp, core = _twisted_core(t, r, d, 0.6 + 0.2j)
+            ctx = IsogenyContext.for_degree(t, rp)
+            f = FactorOfAutomorphy(ctx.cover, core)
+            if (tau, r, d) in ROUNDTRIP_ERRORS:
+                kind, text = ROUNDTRIP_ERRORS[tau, r, d]
+                with pytest.raises(Exception) as exc:
+                    roundtrip_diag(ctx, f)
+                assert (type(exc.value), str(exc.value)) == (kind, text)
+                continue
+            blocks = roundtrip_diag(ctx, f)
+            assert len(blocks) == rp
+            for i, b in enumerate(blocks):
+                want = core.substitute_scaled(ctx.base.q ** i)
+                assert (b.A._lo, b.A._c.shape, b.A._c.tobytes()) == (want._lo, want._c.shape, want._c.tobytes())
+
+
+def test_roundtrip_raises_the_first_failing_translate():
+    # on tau = i, translate 2 of diag(u^60, u^-50) loses its first row to
+    # underflow, and translate 3 cannot be built: (q^3)^50 underflows to
+    # 0, so (q^3)^-50 divides by zero
+    ctx = IsogenyContext.for_degree(Torus(1j), 4)
+    for diag, kind, text in (
+        ([LaurentPoly.monomial(60), LaurentPoly.monomial(-50)],
+         ValueError, "generator fails the sampled invertibility check (|det A(1)| = 0)"),
+        ([1, LaurentPoly.monomial(-50)], ZeroDivisionError, "0.0 to a negative or complex power"),
+    ):
+        f = FactorOfAutomorphy(ctx.cover, LaurentMatrix.diagonal(diag))
+        with pytest.raises(Exception) as exc:
+            roundtrip_diag(ctx, f)
+        assert (type(exc.value), str(exc.value)) == (kind, text)
+
+
+def test_roundtrip_takes_one_determinant(rng, monkeypatch):
+    ctx = IsogenyContext.for_degree(Torus(0.3 + 1.1j), 7)
+    f = random_single_exponent_factor(rng, ctx.cover, 3)
+    dets = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
+    assert len(roundtrip_diag(ctx, f)) == 7
+    assert len(dets) <= 1

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,40 @@ def test_scaled_by_monomial_equals_kron_exactly(rng):
                 got, want = a.scaled(c), LaurentMatrix([[c]]).kron(a)
                 assert got._lo == want._lo
                 assert got._c.tobytes() == want._c.tobytes()
+
+
+def test_translates_match_one_product_per_scale(rng):
+    # the stacked substitution against the product it replaces, one
+    # scale at a time: c * w[:, None, None] with the Python powers w
+    for n in (1, 2, 5):
+        for width in (1, 3):
+            base = rng.normal(size=(width + 2, n, n)) + 1j * rng.normal(size=(width + 2, n, n))
+            for c in (base[:width], base[1:width + 1].transpose(0, 2, 1)):
+                m = LaurentMatrix._from_coeffs(-1, c, prune=False)
+                scales = [complex(*rng.normal(size=2)) for _ in range(4)]
+                for k in range(1, len(scales) + 1):
+                    translates, failure = m._translates(scales[:k])
+                    assert failure is None and len(translates) == k
+                    for s, got in zip(scales, translates):
+                        want = m._c * np.array([s ** e for e in range(-1, width - 1)])[:, None, None]
+                        assert got._lo == -1
+                        assert got._c.tobytes() == want.tobytes()
+                        assert got._c.tobytes() == m.substitute_scaled(s)._c.tobytes()
+
+
+def test_translates_stop_at_the_first_failing_scale():
+    m = LaurentMatrix([[LaurentPoly({-40: 1e300})]])
+    for scale, kind, text in (
+        (0, ValueError, "substitution scale must be nonzero"),
+        (0.1, ValueError, "non-finite coefficient after substituting u -> (0.1+0j) u"),
+        (1e-8, OverflowError, "complex exponentiation"),
+        (1e-10, ZeroDivisionError, "0.0 to a negative or complex power"),
+    ):
+        translates, failure = m._translates([1, 1.5, scale, 0])
+        assert len(translates) == 2
+        assert (type(failure), str(failure)) == (kind, text)
+        with pytest.raises(kind, match=re.escape(text)):
+            m.substitute_scaled(scale)
 
 
 def test_det_of_normal_forms_unchanged_bit_for_bit(any_torus):

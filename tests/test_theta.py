@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,3 +137,27 @@ def test_report_json_shape():
     rep = ThetaReport(max_residual=1.5e-11, samples=64, passed=True)
     d = rep.to_json_dict()
     assert d == {"max_residual": 1.5e-11, "samples": 64, "pass": True}
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5)])
+def test_theta_matches_mpmath_jtheta(any_torus, a, b):
+    # with nome exp(pi i tau) and w = pi z the four characteristics are
+    # the classical theta_3(w), theta_4(w), theta_2(w) and -theta_1(w)
+    mpmath = pytest.importorskip("mpmath")
+    n = {(0, 0): 3, (0, 0.5): 4, (0.5, 0): 2, (0.5, 0.5): 1}[a, b]
+    sign = -1 if n == 1 else 1
+    xi = ThetaCharacteristic(a, b)
+    rng = np.random.default_rng(20240917)
+    with mpmath.workdps(30):
+        nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(any_torus.tau))
+        for alpha, beta in rng.uniform(0.05, 0.95, size=(8, 2)):
+            z = alpha + beta * any_torus.tau
+            want = sign * complex(mpmath.jtheta(n, mpmath.pi * mpmath.mpc(z), nome))
+            assert abs(theta_eval(any_torus, xi, z) - want) <= 1e-12 * abs(want)
+
+
+def test_theta_past_the_double_range_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError):
+            theta_eval(Torus(1j), XI0, -100j)
