@@ -27,6 +27,7 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     Torus,
+    _integer_from_json,
 )
 from .cocycle import FactorOfAutomorphy, _is_triangular, _walk_powers
 from .isogeny import IsogenyContext, companion_block, pushforward
@@ -73,7 +74,7 @@ def descriptor_to_json(d: BundleDescriptor) -> dict:
 
 def descriptor_from_json(data: dict) -> BundleDescriptor:
     re, im = data["param"]
-    return BundleDescriptor(int(data["rank"]), int(data["degree"]), complex(float(re), float(im)))
+    return BundleDescriptor(*(_integer_from_json(data[k], k) for k in ("rank", "degree")), complex(float(re), float(im)))
 
 
 def reduce_param(t: Torus, a: complex, max_power: Optional[int] = None) -> complex:
@@ -111,7 +112,7 @@ def jordan_factor_matrix(r: int, a: complex) -> LaurentMatrix:
 
 def phi0(t: Torus) -> LaurentPoly:
     """The degree one line bundle factor s^(-1) u^(-1)."""
-    return LaurentPoly.monomial(-1, 1.0 / t.s)
+    return _phi0_power(t, 1)
 
 
 def _phi0_power(t: Torus, d: int) -> LaurentPoly:

@@ -7,8 +7,8 @@ so constructions compose by piping:
 
 Complex numbers on the command line use the compact a+bi form with no
 spaces, for example 0.3+1.1i or 2i or -0.5.  Exit codes: 0 on success,
-1 on a domain error (bad torus, non invertible matrix, malformed JSON),
-2 on a usage error.
+1 on a domain error (bad torus, non invertible matrix, malformed JSON)
+or an arithmetic failure, 2 on a usage error.
 
 Each subcommand handler returns its output document and prints nothing;
 main alone renders the document (--format json or table) and maps the
@@ -336,9 +336,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        doc = args.func(args)
+        # no numpy warning on stderr: the constructors reject the inf and nan left behind
+        with np.errstate(over="ignore", invalid="ignore"):
+            doc = args.func(args)
         print(_table(doc) if args.format == "table" else json.dumps(doc))
-    except (TorusBundleError, ValueError, TypeError, KeyError, OverflowError, OSError) as exc:
+    except (TorusBundleError, ValueError, TypeError, KeyError, ArithmeticError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -116,14 +116,12 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     if m == 0:
         return LaurentMatrix.identity(f.A.n)
     if m > 0:
-        acc = f.A
-        for i in range(1, m):
-            acc = f.A.substitute_scaled(q ** i) @ acc
-        return acc
-    inv = f.A.inverse_monomial_det()
-    acc = inv.substitute_scaled(q ** -1)
-    for i in range(2, 1 - m):
-        acc = inv.substitute_scaled(q ** -i) @ acc
+        base, acc, powers = f.A, f.A, range(1, m)
+    else:
+        base = f.A.inverse_monomial_det()
+        acc, powers = base.substitute_scaled(q ** -1), range(-2, m - 1, -1)
+    for i in powers:
+        acc = base.substitute_scaled(q ** i) @ acc
     return acc
 
 
@@ -178,11 +176,8 @@ def is_trivial_unipotent2(f: FactorOfAutomorphy) -> Optional[LaurentPoly]:
         raise ValueError(f"expected a 2x2 factor, got size {f.A.n}")
     a = f.A.entry(0, 1)
     scale = 1.0 + max(1.0, a.max_coeff())
-    one = LaurentPoly.one()
-    for entry, expect in (((0, 0), one), ((1, 1), one), ((1, 0), LaurentPoly.zero())):
-        diff = (f.A.entry(*entry) - expect).max_coeff()
-        if diff > CLOSE_TOL * scale:
-            raise ValueError("factor is not upper unipotent with unit diagonal")
+    if (f.A - LaurentMatrix([[1, a], [0, 1]], prune=False)).max_coeff() > CLOSE_TOL * scale:
+        raise ValueError("factor is not upper unipotent with unit diagonal")
     q = f.torus.q
     terms = dict(a.terms())
     a0 = terms.pop(0, 0j)
@@ -323,14 +318,8 @@ def _jordan_basis(walks: list[_PowerWalk]) -> np.ndarray:
             if need == 0:
                 continue
             avoid = [null[j - 1]] + [powers[length - j] @ v[:, None] for v, length in tops if length > j]
-            w = np.hstack(avoid)
-            basis = null[j]
-            if w.shape[1]:
-                qw = _orth(w)
-                proj = basis - qw @ (qw.conj().T @ basis)
-            else:
-                proj = basis
-            _, _, vh = np.linalg.svd(proj)
+            qw, basis = _orth(np.hstack(avoid)), null[j]
+            _, _, vh = np.linalg.svd(basis - qw @ (qw.conj().T @ basis))
             for t in range(need):
                 x = vh[t].conj()
                 tops.append((basis @ x, j))

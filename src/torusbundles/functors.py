@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -37,18 +36,6 @@ def tensor(f: FactorOfAutomorphy, g: FactorOfAutomorphy) -> FactorOfAutomorphy:
     return FactorOfAutomorphy(f.torus, f.A.kron(g.A))
 
 
-def _exponent_tuples(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Monomial exponents of degree ``total`` in ``nvars`` variables,
-    descending lexicographic.  For two variables this is the familiar
-    e_1^n, e_1^(n-1) e_2, ..., e_2^n ordering."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exponent_tuples(nvars - 1, total - first):
-            yield (first,) + rest
-
-
 def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
     """Induced matrix on the n-th symmetric power, in the monomial basis.
 
@@ -66,7 +53,8 @@ def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
     def apply(samples):
         s, prev = np.ones((len(samples), 1, 1), dtype=complex), {(0,) * r: 0}
         for d in range(1, n + 1):
-            basis = list(_exponent_tuples(r, d))
+            # monomials of degree d, exponents in descending lexicographic order
+            basis = [tuple(map(c.count, range(r))) for c in itertools.combinations_with_replacement(range(r), d)]
             # index of mu - e_i in degree d - 1; row len(prev) is zero
             down = np.array([[prev.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:], len(prev)) for mu in basis]
                              for i in range(r)])

@@ -351,8 +351,9 @@ def _format_complex(v: complex) -> str:
     return f"({v.real:.10g}{v.imag:+.10g}i)"
 
 
-def poly_close(a: LaurentPoly, b: LaurentPoly, tol: float = CLOSE_TOL) -> bool:
-    """Compare coefficientwise, to tol * (1 + largest input coefficient)."""
+def poly_close(a: "LaurentPoly | LaurentMatrix", b: "LaurentPoly | LaurentMatrix", tol: float = CLOSE_TOL) -> bool:
+    """Compare coefficientwise, to tol * (1 + largest input coefficient);
+    matrices_close compares matrices by this rule."""
     scale = 1.0 + max(a.max_coeff(), b.max_coeff())
     return (a - b).max_coeff() <= tol * scale
 
@@ -456,9 +457,7 @@ class LaurentMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "LaurentMatrix":
-        n = len(entries)
-        rows = [[cls._coerce(entries[i]) if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
-        return cls(rows, prune=False)
+        return block_diagonal([cls([[e]], prune=False) for e in entries])
 
     # -- inspection ---------------------------------------------------------
 
@@ -753,11 +752,9 @@ def _sample_dets(samples: np.ndarray) -> np.ndarray:
 
 
 def matrices_close(a: LaurentMatrix, b: LaurentMatrix, tol: float = CLOSE_TOL) -> bool:
-    """Entrywise coefficient comparison, to tol * (1 + largest input coefficient)."""
-    if a.n != b.n:
-        return False
-    scale = 1.0 + max(a.max_coeff(), b.max_coeff())
-    return (a - b).max_coeff() <= tol * scale
+    """Entrywise coefficient comparison, to tol * (1 + largest input
+    coefficient); matrices of different sizes are not close."""
+    return a.n == b.n and poly_close(a, b, tol)
 
 
 def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]]) -> LaurentMatrix:

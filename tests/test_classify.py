@@ -270,6 +270,17 @@ def test_descriptor_json_round_trip():
     assert back == d
 
 
+@pytest.mark.parametrize("key", ["rank", "degree"])
+def test_descriptor_json_reads_integers_only(key):
+    data = descriptor_to_json(BundleDescriptor(3, -2, 0.25 - 0.75j))
+    for value in (2, 2.0):
+        back = descriptor_from_json({**data, key: value})
+        assert getattr(back, key) == 2 and type(getattr(back, key)) is int
+    for value in (2.5, "2", True):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            descriptor_from_json({**data, key: value})
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         BundleDescriptor(0, 0, 1.0)

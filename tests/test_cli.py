@@ -490,6 +490,21 @@ def test_fuzzed_factor_json_is_a_result_or_a_one_line_error(data, tmp_path_facto
         assert len(err.getvalue().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["roundtrip", "-r", "4"], ["iterate", "-m", "3"]], ids=["roundtrip", "iterate"])
+def test_arithmetic_failure_is_a_one_line_error(argv, capsys, monkeypatch):
+    # the weight c^-50 of a translate underflows: Python's complex power divides by 0
+    data = {"torus": {"tau": [0.0, 4.0]}, "A": {"n": 1, "entries": [[{"k": -50, "re": 1.0, "im": 0.0}]]}}
+    code, out, err = run(capsys, monkeypatch, argv, stdin=json.dumps(data))
+    assert (code, out, err) == (1, "", "ZeroDivisionError: 0.0 to a negative or complex power\n")
+
+
+def test_overflow_prints_no_numpy_warning(capsys, monkeypatch):
+    # the suite turns RuntimeWarning into an error, so a warning would escape main
+    _, factor, _ = run(capsys, monkeypatch, ["normal-form", "--tau", "0+1i", "-r", "1", "-d", "8", "-a", "1"])
+    code, out, err = run(capsys, monkeypatch, ["iterate", "-m", "20"], stdin=factor)
+    assert (code, out, err) == (1, "", "ValueError: non-finite coefficient in a 1 x 1 matrix\n")
+
+
 def test_failed_invertibility_check_reports_the_dets_it_took(capsys, monkeypatch):
     # the Laurent det of the two overflowing generators has non-finite
     # coefficients, so the message gives the determinants the check took

@@ -81,6 +81,18 @@ def test_iterate_negative_is_inverse(any_torus, rng):
         assert matrices_close(pos @ neg, LaurentMatrix.identity(2), 1e-8)
 
 
+def test_iterate_is_the_product_of_translates_byte_for_byte(any_torus, rng):
+    # A(q^(m-1) u) ... A(u), and A(q^m u)^-1 ... A(q^-1 u)^-1 of one inverse
+    f = random_factor(rng, any_torus, 3)
+    q, inv = any_torus.q, f.A.inverse_monomial_det()
+    for m in (-4, -3, -2, -1, 1, 2, 3, 4):
+        want = f.A if m > 0 else inv.substitute_scaled(q ** -1)
+        for i in range(1, abs(m)):
+            want = (f.A.substitute_scaled(q ** i) if m > 0 else inv.substitute_scaled(q ** (-1 - i))) @ want
+        got = iterate(f, m)
+        assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
+
+
 def test_negative_iterates_of_a_mixed_factor(torus):
     # det A = 2 while the sampled det of A(m, u) carries noise terms from
     # m = 2 on, so the negative iterates invert A, not A(m, u)
@@ -261,6 +273,21 @@ def test_unipotent_shape_check(torus):
         is_trivial_unipotent2(FactorOfAutomorphy(torus, LaurentMatrix([[2, 1], [0, 1]])))
     with pytest.raises(ValueError):
         is_trivial_unipotent2(FactorOfAutomorphy(torus, LaurentMatrix.identity(3)))
+
+
+def test_unipotent_shape_check_uses_the_scaled_tolerance(torus):
+    # each of the three fixed entries may stray by CLOSE_TOL (1 + max(1, |a|)), here 4e-9
+    a = LaurentPoly({-1: 3.0, 1: 0.5})
+    for i, j in ((0, 0), (1, 0), (1, 1)):
+        for eps, fails in ((3.9e-9, False), (4.1e-9, True)):
+            rows = [[1, a], [0, 1]]
+            rows[i][j] = rows[i][j] + LaurentPoly({2: eps})
+            f = FactorOfAutomorphy(torus, LaurentMatrix(rows, prune=False))
+            if fails:
+                with pytest.raises(ValueError, match="^factor is not upper unipotent with unit diagonal$"):
+                    is_trivial_unipotent2(f)
+            else:
+                assert is_trivial_unipotent2(f) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,25 @@ def test_scaled_by_monomial_equals_kron_exactly(rng):
                 assert got._c.tobytes() == want._c.tobytes()
 
 
+def test_scaled_by_a_polynomial_equals_kron_exactly(rng):
+    p = LaurentPoly({-1: 0.5, 2: 1 - 2j})
+    for n in (1, 3):
+        a = random_laurent_matrix(rng, n)
+        got, want = a.scaled(p), LaurentMatrix([[p]]).kron(a)
+        assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
+
+
+def test_products_with_the_zero_matrix_are_zero(rng):
+    a = random_laurent_matrix(rng, 3)
+    for got, n in ((a @ LaurentMatrix.zeros(3), 3), (LaurentMatrix.zeros(3) @ a, 3),
+                   (a.kron(LaurentMatrix.zeros(2)), 6), (LaurentMatrix.zeros(2).kron(a), 6)):
+        assert got.n == n and got._c.shape == (0, n, n)
+
+
+def test_det_with_a_zero_row_is_zero():
+    assert LaurentMatrix([[0, 0], [LaurentPoly.monomial(1), 1]]).det().is_zero
+
+
 def test_translates_match_one_product_per_scale(rng):
     # the stacked substitution against the product it replaces, one
     # scale at a time: c * w[:, None, None] with the Python powers w
@@ -375,6 +394,17 @@ def test_block_diagonal(rng):
     assert d.entry(0, 2).is_zero
 
 
+def test_diagonal_matches_its_rows(rng):
+    # 1e-14 stays: a diagonal is not pruned against its largest entry
+    entries = [0, 2.5, -0.0, LaurentPoly({-3: 1j}), random_laurent(rng, -2, 3), 1e-14, LaurentPoly.monomial(4, 1e3)]
+    n = len(entries)
+    want = LaurentMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], prune=False)
+    got = LaurentMatrix.diagonal(entries)
+    assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
+    with pytest.raises(ValueError):
+        LaurentMatrix.diagonal([])
+
+
 def test_matrix_json_roundtrip(rng):
     m = random_laurent_matrix(rng, 3)
     data = json.loads(json.dumps(matrix_to_json(m)))
@@ -390,3 +420,9 @@ def test_matrix_json_roundtrip(rng):
 def test_json_rejects_wrong_count():
     with pytest.raises(ValueError):
         matrix_from_json({"n": 2, "entries": [[], [], []]})
+
+
+def test_json_reads_an_integral_float_exponent():
+    m = matrix_from_json({"n": 1, "entries": [[{"k": 2.0, "re": 1.5, "im": 0.0}]]})
+    [(k, c)] = m.entry(0, 0).terms()
+    assert (type(k), k, c) == (int, 2, 1.5)
