@@ -129,7 +129,8 @@ def normal_form_deg0(t: Torus, r: int, a: complex) -> FactorOfAutomorphy:
 
 def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMatrix]:
     """Validate (r, d, a) and split off h = gcd(r, d) (h = r when d = 0):
-    returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h."""
+    returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h,
+    which carries its det, the monomial (s^-d' a)^h u^(-d' h)."""
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"rank must be a positive integer, got {r!r}")
     if not isinstance(d, int):
@@ -137,7 +138,7 @@ def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMat
     if complex(a) == 0:
         raise ValueError("param must be nonzero")
     h = math.gcd(r, abs(d)) if d != 0 else r
-    return r // h, jordan_factor_matrix(h, a).scaled(_phi0_power(t, d // h))
+    return r // h, jordan_factor_matrix(h, a).scaled(_phi0_power(t, d // h))._carry_triangular_det()
 
 
 def normal_form(t: Torus, r: int, d: int, a: complex) -> FactorOfAutomorphy:

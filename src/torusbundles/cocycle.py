@@ -57,10 +57,13 @@ class FactorOfAutomorphy:
     nonzero and not degenerate along the unit circle.  When each row of
     A holds one exponent, as in block companions and their isogeny
     translates, |det A| is constant on the circle and the check is the
-    one determinant det A(1).  The verdict is kept on A, so building a
-    factor from a matrix judged before, such as the translates that
-    roundtrip_diag judges in one batch, takes no determinant.  This is
-    a necessary condition for A to define a bundle, not a proof; the
+    one determinant det A(1).  When det A is cached as a monomial c u^k,
+    as normal forms, their Atiyah cores and pushforward companions carry
+    it from how they were built, the check reads |c| and takes no
+    determinant.  The verdict is kept on A, so building a factor from a
+    matrix judged before, such as the translates that roundtrip_diag
+    judges in one batch, takes no determinant either.  This is a
+    necessary condition for A to define a bundle, not a proof; the
     exact certificate is a monomial determinant.
     """
 

@@ -63,14 +63,17 @@ def pullback(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:
 def companion_block(a: LaurentMatrix, r: int) -> LaurentMatrix:
     """The block cyclic matrix [[0, I], [a, 0]] with I of size (r-1) * n.
 
-    For r = 1 this is just ``a``.
+    For r = 1 this is just ``a``.  When det a is cached, the companion
+    carries det = (-1)^((r-1) n) det a, so its invertibility check and
+    det() take no determinant.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r == 1:
         return a
     n = a.n
-    return _assemble(r * n, [(0, n, LaurentMatrix.identity((r - 1) * n)), ((r - 1) * n, 0, a)])
+    out = _assemble(r * n, [(0, n, LaurentMatrix.identity((r - 1) * n)), ((r - 1) * n, 0, a)])
+    return out._carry_companion_det(a, r)
 
 
 def pushforward(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:

@@ -671,6 +671,34 @@ class LaurentMatrix:
                     self._det = LaurentPoly(dict(zip(range(lo, hi + 1), coeffs)))
         return self._det
 
+    def _carry_triangular_det(self) -> "LaurentMatrix":
+        """Cache det on this matrix, built with one exponent lo and upper
+        triangular, and return it.  Elimination takes the diagonal as its
+        pivots, in order and with no swap, so det is u^(n lo) times their
+        product from 1 + 0j, the number det() takes.  A non-finite
+        product is not cached, so det() and the invertibility check fail
+        on it as they would without it.
+        """
+        pivots = self._c[0].diagonal().tolist() if len(self._c) else [0j]
+        det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
+        if cmath.isfinite(det):
+            self._det = LaurentPoly({self.n * self._lo: det})
+        return self
+
+    def _carry_companion_det(self, a: "LaurentMatrix", r: int) -> "LaurentMatrix":
+        """Cache det on this matrix, companion_block(a, r), when det a is
+        cached, and return it: det = (-1)^((r-1) n) det a, n = a.n.  For
+        a triangular a as above, elimination takes a's diagonal and then
+        ones as pivots, with a sign change at each row swap; that differs
+        from the sign times det a at most in the sign of a zero part,
+        which LaurentPoly stores as +0, so the det is det()'s bit for
+        bit.  For other a it is det() up to rounding.
+        """
+        if a._det is not None:
+            sign = (-1) ** ((r - 1) * a.n)
+            self._det = LaurentPoly({k: sign * c for k, c in a._det._c.items()})
+        return self
+
     def inverse_monomial_det(self) -> "LaurentMatrix":
         """Inverse over the Laurent ring; requires det to be a monomial.
 
@@ -757,12 +785,16 @@ def matrices_close(a: LaurentMatrix, b: LaurentMatrix, tol: float = CLOSE_TOL) -
     return a.n == b.n and poly_close(a, b, tol)
 
 
-def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]]) -> LaurentMatrix:
+def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]], budget: bool = False) -> LaurentMatrix:
     """A total x total matrix holding each (row, col, block) of ``parts``
-    with its top left corner at (row, col), zero elsewhere; no pruning."""
+    with its top left corner at (row, col), zero elsewhere; no pruning.
+    With ``budget``, an exponent window past SAMPLE_BUDGET raises
+    ValueError before the array is allocated."""
     live = [(r, c, b) for r, c, b in parts if len(b._c)]
     lo = min((b._lo for _, _, b in live), default=0)
     hi = max((b._lo + len(b._c) for _, _, b in live), default=lo)
+    if budget:
+        _check_budget("exponent", hi - lo, total * total)
     out = np.zeros((hi - lo, total, total), dtype=complex)
     for r, c, b in live:
         out[b._lo - lo:b._lo - lo + len(b._c), r:r + b.n, c:c + b.n] = b._c
@@ -770,10 +802,12 @@ def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]]) -> La
 
 
 def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
+    """The block diagonal matrix of ``blocks``; a coefficient array past
+    SAMPLE_BUDGET raises ValueError before it is allocated."""
     if not blocks:
         raise ValueError("need at least one block")
     offsets = np.cumsum([0] + [b.n for b in blocks]).tolist()
-    return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
+    return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)], budget=True)
 
 
 def _invertibility_failure(mats: Sequence[LaurentMatrix], name: str) -> Optional[str]:
@@ -795,22 +829,32 @@ def _invertibility_failure(mats: Sequence[LaurentMatrix], name: str) -> Optional
     constant on the circle, so the criterion is one determinant,
     0 < |det mat(1)| < inf: "|det A(1)| = 0".
 
-    The rule is picked per matrix, and both read the same numbers: the
+    A mat whose det is cached as a monomial c u^k, such as the twisted
+    core of a normal form and its block companions, which are given
+    their det when built, has |det| = |c| on the whole circle; it is
+    judged by |c| alone, as one point, and takes no determinant.
+
+    The rule is picked per matrix, and all read the same numbers: the
     lowest and highest |det| over the points taken, which must satisfy
-    0 < top and low > 1e-9 top.  The matrices not judged before are
-    judged together, with one batched determinant for the mat(1) of
+    0 < top and low > 1e-9 top.  The other matrices not judged before
+    are judged together, with one batched determinant for the mat(1) of
     those under the one-exponent rule and one for the samples of the
     rest.  Each keeps its verdict, (low, top, points), so judging it
-    again takes no determinant; a matrix made from it starts without one.
+    again takes no determinant; a matrix made from it starts without a
+    verdict, and without a det unless its maker carried one.
     """
     todo = [m for m in mats if m._judged is None]
     if todo:
         ones, rest = [], []
         for m in todo:
+            mono = m._det.is_monomial() if m._det is not None else None
+            if mono is not None:
+                det = abs(mono[1])
+                m._judged = (det, det, 1)
             # at most n live (exponent, row) pairs, as in any one-slice matrix:
             # one exponent per row, or a zero row, where det mat(1) is exactly
             # 0 as every sample would be
-            if len(m._c) <= 1 or np.count_nonzero(m._c.any(axis=2)) <= m.n:
+            elif len(m._c) <= 1 or np.count_nonzero(m._c.any(axis=2)) <= m.n:
                 ones.append(m)
             else:
                 _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(m._c), m.n ** 2))

@@ -14,6 +14,7 @@ from torusbundles import (
     LaurentPoly,
     Torus,
     atiyah_construct,
+    companion_block,
     degree,
     descriptor_from_json,
     descriptor_to_json,
@@ -22,6 +23,7 @@ from torusbundles import (
     normal_form,
     normal_form_deg0,
     phi0,
+    poly_close,
     rank,
     recognize_deg0,
     reduce_param,
@@ -161,6 +163,48 @@ def test_normal_forms_above_rank_8(any_torus):
             assert (rank(f), rank(g)) == (r, r)
             assert (degree(f), degree(g)) == (d, d)
             assert matrices_close(f.A, g.A, 1e-12)
+
+
+def test_normal_forms_past_the_double_range_keep_their_errors():
+    # on tau = 5i, |s^-3| ~ 3e20: the det of the rank 16 core overflows at
+    # d = 48 and underflows to 0 at d = -48; an overflowed det is not
+    # carried, so the check reports it as it reports any other
+    t = Torus(5j)
+    for d, taken in ((48, "inf"), (-48, "0")):
+        for build in (normal_form, atiyah_construct):
+            with pytest.raises(ValueError) as exc:
+                build(t, 16, d, 0.6 + 0.2j)
+            assert str(exc.value) == f"generator fails the sampled invertibility check (|det A(1)| = {taken})"
+
+
+@pytest.mark.parametrize("d", [8, 0])
+def test_degree_of_normal_forms_takes_no_determinant(monkeypatch, d):
+    from torusbundles import laurent
+
+    dets = []
+    det, pivot_det = np.linalg.det, laurent._pivot_det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: dets.append(len(m)) or pivot_det(m))
+    t = Torus(0.3 + 1.1j)
+    assert degree(normal_form(t, 12, d, 0.6 + 0.2j)) == d
+    assert degree(atiyah_construct(t, 12, d, 0.6 + 0.2j)) == d
+    assert dets == []
+
+
+def test_companion_carries_the_det_of_its_block(rng):
+    # a block whose det was taken before: the companion's det is
+    # (-1)^((r-1) n) det a, to rounding what the companion eliminates to
+    for n, r in ((1, 2), (2, 3), (3, 2), (3, 3)):
+        a = random_factor(rng, Torus(1j), n).A
+        a.det()
+        out = companion_block(a, r)
+        assert out._det is not None
+        assert out.det() == a.det() * (-1) ** ((r - 1) * n)
+        fresh = LaurentMatrix._from_coeffs(out._lo, out._c.copy(), prune=False)
+        assert fresh._det is None
+        assert poly_close(out.det(), fresh.det(), 1e-12)
+    # a block without a det gives a companion without one
+    assert companion_block(LaurentMatrix.identity(2), 3)._det is None
 
 
 # ---------------------------------------------------------------------------

@@ -371,17 +371,39 @@ def test_translates_stop_at_the_first_failing_scale():
 
 
 def test_det_of_normal_forms_unchanged_bit_for_bit(any_torus):
-    from torusbundles import normal_form
+    from torusbundles import atiyah_construct, normal_form
     from torusbundles.laurent import _pivot_det
 
-    for r in range(1, 17):
-        for d in range(-8, 9):
-            a = normal_form(any_torus, r, d, 0.6 + 0.2j).A
-            [(k, got)] = a.det().terms()
-            # the general path: eliminate the one sample of a one-point window
-            want = _pivot_det(a._at_roots(1)[0].tolist())
-            assert k == -d
-            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    for build in (normal_form, atiyah_construct):
+        for r in range(1, 17):
+            for d in range(-8, 9):
+                a = build(any_torus, r, d, 0.6 + 0.2j).A
+                [(k, got)] = a.det().terms()
+                # the general path: eliminate the one sample of a one-point window
+                want = _pivot_det(a._at_roots(1)[0].tolist())
+                assert k == -d
+                assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.1 + 0.6j])
+def test_carried_det_of_normal_forms_is_elimination(tau):
+    # parameters whose dets have a zero real or imaginary part, where
+    # elimination can leave -0: det() equals elimination's value, and its
+    # bytes are those LaurentPoly stores for that value, a zero part as +0
+    from torusbundles import atiyah_construct, normal_form
+    from torusbundles.laurent import _pivot_det
+
+    t = Torus(tau)
+    for build in (normal_form, atiyah_construct):
+        for param in (-1.3 + 0.01j, 1e-5j):
+            for r in range(1, 17):
+                for d in range(-8, 9):
+                    a = build(t, r, d, param).A
+                    [(k, got)] = a.det().terms()
+                    want = _pivot_det(a._at_roots(1)[0].tolist())
+                    assert (k, got) == (-d, want)
+                    [(_, stored)] = LaurentPoly({k: want}).terms()
+                    assert np.array([got]).tobytes() == np.array([stored]).tobytes()
 
 
 def test_block_diagonal(rng):
@@ -403,6 +425,17 @@ def test_diagonal_matches_its_rows(rng):
     assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
     with pytest.raises(ValueError):
         LaurentMatrix.diagonal([])
+
+
+def test_block_diagonal_refuses_a_window_past_the_budget():
+    far = [LaurentPoly.monomial(-530000), LaurentPoly.monomial(530000)]
+    text = "exponent window of width 1060001 needs 4240004 elements, more than SAMPLE_BUDGET = 4194304"
+    with pytest.raises(ValueError) as exc:
+        LaurentMatrix.diagonal(far)
+    assert str(exc.value) == text
+    with pytest.raises(ValueError) as exc:
+        block_diagonal([LaurentMatrix([[p]]) for p in far])
+    assert str(exc.value) == text
 
 
 def test_matrix_json_roundtrip(rng):
