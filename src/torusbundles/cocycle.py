@@ -54,15 +54,13 @@ class FactorOfAutomorphy:
     """A torus together with the generator value A(u) of a factor.
 
     Construction runs the sampled invertibility check on A: det must be
-    nonzero and not degenerate along the unit circle.  When each row of
-    A holds one exponent, as in block companions and their isogeny
-    translates, |det A| is constant on the circle and the check is the
-    one determinant det A(1).  When det A is cached as a monomial c u^k,
-    as normal forms, their Atiyah cores and pushforward companions carry
-    it from how they were built, the check reads |c| and takes no
-    determinant.  The verdict is kept on A, so building a factor from a
-    matrix judged before, such as the translates that roundtrip_diag
-    judges in one batch, takes no determinant either.  This is a
+    nonzero and not degenerate along the unit circle.  When det A is
+    cached as a monomial c u^k, as normal forms, their Atiyah cores and
+    pushforward companions carry it from how they were built, the check
+    reads |c| and takes no determinant.  When each row of A holds one
+    exponent, as in block companions and their isogeny translates,
+    |det A| is constant on the circle and the check is det A(1), the
+    one elimination det() takes, which A keeps as its det.  This is a
     necessary condition for A to define a bundle, not a proof; the
     exact certificate is a monomial determinant.
     """
@@ -71,7 +69,7 @@ class FactorOfAutomorphy:
     A: LaurentMatrix
 
     def __post_init__(self) -> None:
-        taken = _invertibility_failure([self.A], "A")
+        taken = _invertibility_failure(self.A, "A")
         if taken:
             raise ValueError(f"generator fails the sampled invertibility check ({taken})")
 
@@ -87,7 +85,7 @@ class EquivalenceWitness:
     B: LaurentMatrix
 
     def __post_init__(self) -> None:
-        taken = _invertibility_failure([self.B], "B")
+        taken = _invertibility_failure(self.B, "B")
         if taken:
             raise ValueError(f"witness fails the sampled invertibility check ({taken})")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .laurent import LaurentMatrix, Torus, _assemble, _invertibility_failure, _require_same_torus
+from .laurent import LaurentMatrix, Torus, _assemble, _require_same_torus
 from .cocycle import FactorOfAutomorphy, iterate
 
 __all__ = [
@@ -91,15 +91,13 @@ def roundtrip_diag(ctx: IsogenyContext, f: FactorOfAutomorphy) -> list[FactorOfA
     the translates with generator f.A(q^i u), i = 0 .. r-1, in the base
     nome q.
 
-    The translates are built as one stack and judged invertible with one
-    batched determinant; a failure raises the error of the first failing
+    The translates are built as one stack, and each is judged invertible
+    by its own factor; a failure raises the error of the first failing
     translate, as building them one by one would.
     """
     _require_same_torus(f.torus, ctx.cover)
     q = ctx.base.q
     translates, failure = f.A._translates([q ** i for i in range(ctx.r)])
-    # each factor below reads the verdict this call keeps on its matrix
-    _invertibility_failure(translates, "A")
     blocks = [FactorOfAutomorphy(ctx.cover, a) for a in translates]
     if failure is not None:
         raise failure

@@ -9,7 +9,8 @@ ring those generators live in.
 Entries are Laurent polynomials in one variable u: exact integer
 exponents, double precision complex coefficients.  After every arithmetic
 operation coefficients smaller than ``PRUNE_REL`` times the largest one
-(taken over the whole matrix, for matrix operations) are dropped, so
+(taken over the whole matrix, for matrix operations; for a product of
+polynomials, times the coefficient of |a| * |b|) are dropped, so
 supports stay finite and exactly representable.
 
 A scalar is a LaurentPoly, a dict from exponent to coefficient.  A
@@ -24,7 +25,7 @@ powers take one path, LaurentMatrix._sampled: evaluate at the roots of
 unity of a support window known in advance, apply a batched numeric map
 to all samples, and interpolate by an inverse FFT.  A one-point window
 takes no FFT and stays exact.  SAMPLE_BUDGET caps the size of a window,
-and of the coefficient array of a matrix built from rows.
+and of the coefficient array of a matrix built from rows or blocks.
 """
 
 from __future__ import annotations
@@ -246,10 +247,14 @@ class LaurentPoly:
             return NotImplemented
         if not self._c or not other._c:
             return LaurentPoly.zero()
+        # each coefficient is pruned against its own bound, that of |self| * |other|
         la, va = self._dense()
         lb, vb = other._dense()
-        conv = np.convolve(va, vb)
-        return LaurentPoly({la + lb + i: c for i, c in enumerate(conv) if c != 0})
+        lo, bound = la + lb, (PRUNE_REL * np.convolve(np.abs(va), np.abs(vb))).tolist()
+        out = LaurentPoly.__new__(LaurentPoly)
+        c = _finite_terms({lo + i: v for i, v in enumerate(np.convolve(va, vb).tolist())})
+        out._c = {k: v for k, v in c.items() if abs(v) > bound[k - lo]}
+        return out
 
     __rmul__ = __mul__
 
@@ -324,14 +329,17 @@ class LaurentPoly:
 
 def _finite_terms(coeffs: Mapping[int, complex]) -> dict[int, complex]:
     """The nonzero terms of ``coeffs``, repeated exponents summed; a
-    non-integer exponent raises TypeError, a non-finite value ValueError."""
+    non-integer exponent raises TypeError, a non-finite modulus ValueError."""
     c: dict[int, complex] = {}
     for k, v in coeffs.items():
         if not isinstance(k, (int, np.integer)):
             raise TypeError(f"exponent must be an integer, got {k!r}")
         v = complex(v)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"non-finite coefficient {v!r} at exponent {k}")
+        try:  # abs raises OverflowError itself when finite parts have no finite modulus
+            if not math.isfinite(abs(v)):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"non-finite coefficient {v!r} at exponent {k}") from None
         if v != 0:
             c[int(k)] = c.get(int(k), 0j) + v
     return c
@@ -381,7 +389,7 @@ class LaurentMatrix:
     coefficient of the whole result, not entry by entry.
     """
 
-    __slots__ = ("_lo", "_c", "_det", "_judged")
+    __slots__ = ("_lo", "_c", "_det")
 
     def __init__(self, rows: Sequence[Sequence], prune: bool = True):
         n = len(rows)
@@ -421,8 +429,6 @@ class LaurentMatrix:
         self._lo = lo
         self._c = c
         self._det: Optional[LaurentPoly] = None
-        # (lowest, highest |det|, points) of the invertibility check, once judged
-        self._judged: Optional[tuple[float, float, int]] = None
 
     @classmethod
     def _from_coeffs(cls, lo: int, c: np.ndarray, prune: bool = True) -> "LaurentMatrix":
@@ -653,35 +659,54 @@ class LaurentMatrix:
         The support of det lies in the window between the sums of the
         rows' lowest and highest exponents, and det is sampled on it,
         one batched determinant for all samples.  It is identically zero
-        only when every sample is exactly 0.  A one point window means
-        one exponent e_i per row, A(u) = diag(u^e_i) A(1), and det is
-        det A(1) u^(sum e_i), taken by elimination.
+        only when every sample is exactly 0.  A one point window takes
+        _one_point_det's elimination instead.
         """
-        if self._det is None:
+        if self._det is None and self._one_point_det() is None:
             ext = self._row_extremes()
             if ext is None:
                 self._det = LaurentPoly.zero()
             else:
                 lo, hi = int(ext[0].sum()), int(ext[1].sum())
-                if lo == hi:
-                    self._det = LaurentPoly({lo: _pivot_det(self._c.sum(axis=0).tolist())})
-                else:
-                    # non-finite samples are left to LaurentPoly to reject
-                    coeffs = self._sampled(lo, hi, _sample_dets).tolist()
-                    self._det = LaurentPoly(dict(zip(range(lo, hi + 1), coeffs)))
+                # non-finite samples are left to LaurentPoly to reject
+                coeffs = self._sampled(lo, hi, _sample_dets).tolist()
+                self._det = LaurentPoly(dict(zip(range(lo, hi + 1), coeffs)))
+        if self._det is None:
+            # a one point det of non-finite modulus is left uncached: this raises
+            _finite_terms(dict([self._one_point_det()]))
         return self._det
+
+    def _one_point_det(self) -> Optional[tuple[int, complex]]:
+        """(sum e_i, det A(1)) when each row i holds one exponent e_i, so
+        A(u) = diag(u^e_i) A(1), or is zero (at most n live (exponent,
+        row) pairs); else None.  Reads a cached det, or takes one
+        _pivot_det and caches det if its modulus is finite."""
+        c, n = self._c, self.n
+        k = n * self._lo
+        if len(c) > 1:
+            live = c.any(axis=2)
+            if np.count_nonzero(live) > n:
+                return None
+            k += int(live.argmax(axis=0).sum())
+        if self._det is not None:
+            return k, self._det._c.get(k, 0j)
+        det = _pivot_det((c[0] if len(c) == 1 else c.sum(axis=0)).tolist())
+        if math.isfinite(math.hypot(det.real, det.imag)):
+            # + 0j stores a zero part as +0, as the LaurentPoly constructor does
+            self._det = _poly_from_values(k, [det + 0j])
+        return k, det
 
     def _carry_triangular_det(self) -> "LaurentMatrix":
         """Cache det on this matrix, built with one exponent lo and upper
         triangular, and return it.  Elimination takes the diagonal as its
         pivots, in order and with no swap, so det is u^(n lo) times their
-        product from 1 + 0j, the number det() takes.  A non-finite
-        product is not cached, so det() and the invertibility check fail
-        on it as they would without it.
+        product from 1 + 0j, the number det() takes.  A product whose
+        modulus is not finite is not cached, so det() and the
+        invertibility check fail on it as they would without it.
         """
         pivots = self._c[0].diagonal().tolist() if len(self._c) else [0j]
         det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
-        if cmath.isfinite(det):
+        if math.isfinite(math.hypot(det.real, det.imag)):
             self._det = LaurentPoly({self.n * self._lo: det})
         return self
 
@@ -739,18 +764,24 @@ def _check_budget(what: str, width: int, per_point: int) -> None:
 def _pivot_det(m: list[list[complex]]) -> complex:
     """Determinant of one sample, the signed product of the pivots of
     Gaussian elimination with partial pivoting; overwrites ``m``.  A
-    pivot of exactly 0 makes the determinant exactly 0."""
+    pivot of exactly 0 makes the determinant exactly 0.  A product that
+    ends at 0 or non-finite from finite pivots, as of badly scaled rows,
+    is taken again with each pivot's power of two split off, so for n
+    below 1000 only the result can leave the double range."""
     n = len(m)
-    det = 1.0 + 0j
+    det = sign = 1.0 + 0j
     for k in range(n):
-        col = [abs(row[k]) for row in m[k:]]
+        try:
+            col = [abs(row[k]) for row in m[k:]]
+        except OverflowError:  # finite parts whose modulus is past the double range
+            col = [math.hypot(row[k].real, row[k].imag) for row in m[k:]]
         p = k + col.index(max(col))
         piv = m[p][k]
         if piv == 0:
             return 0j
         if p != k:
             m[k], m[p] = m[p], m[k]
-            det = -det
+            det, sign = -det, -sign
         det *= piv
         top = m[k]
         for i in range(k + 1, n):
@@ -758,7 +789,13 @@ def _pivot_det(m: list[list[complex]]) -> complex:
             if f:
                 f /= piv
                 m[i] = [x - f * y for x, y in zip(m[i], top)]
-    return det
+    if (det and cmath.isfinite(det)) or not all(cmath.isfinite(m[k][k]) for k in range(n)):
+        return det
+    pivots = np.array([m[k][k] for k in range(n)])
+    exp = np.frexp(np.maximum(abs(pivots.real), abs(pivots.imag)))[1]
+    det = sign * np.prod(np.ldexp(pivots.real, -exp) + 1j * np.ldexp(pivots.imag, -exp))
+    with np.errstate(over="ignore"):
+        return complex(*np.ldexp([det.real, det.imag], int(exp.sum())).tolist())
 
 
 def _sample_dets(samples: np.ndarray) -> np.ndarray:
@@ -785,16 +822,15 @@ def matrices_close(a: LaurentMatrix, b: LaurentMatrix, tol: float = CLOSE_TOL) -
     return a.n == b.n and poly_close(a, b, tol)
 
 
-def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]], budget: bool = False) -> LaurentMatrix:
+def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]]) -> LaurentMatrix:
     """A total x total matrix holding each (row, col, block) of ``parts``
     with its top left corner at (row, col), zero elsewhere; no pruning.
-    With ``budget``, an exponent window past SAMPLE_BUDGET raises
-    ValueError before the array is allocated."""
+    An exponent window past SAMPLE_BUDGET raises ValueError before the
+    array is allocated."""
     live = [(r, c, b) for r, c, b in parts if len(b._c)]
     lo = min((b._lo for _, _, b in live), default=0)
     hi = max((b._lo + len(b._c) for _, _, b in live), default=lo)
-    if budget:
-        _check_budget("exponent", hi - lo, total * total)
+    _check_budget("exponent", hi - lo, total * total)
     out = np.zeros((hi - lo, total, total), dtype=complex)
     for r, c, b in live:
         out[b._lo - lo:b._lo - lo + len(b._c), r:r + b.n, c:c + b.n] = b._c
@@ -807,13 +843,12 @@ def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     if not blocks:
         raise ValueError("need at least one block")
     offsets = np.cumsum([0] + [b.n for b in blocks]).tolist()
-    return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)], budget=True)
+    return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
 
 
-def _invertibility_failure(mats: Sequence[LaurentMatrix], name: str) -> Optional[str]:
-    """The sampled invertibility check of u -> mat(u) on C* for each mat
-    of ``mats``, matrices of one size: None when every one passes, else
-    the determinants the first failing one took, as text naming it
+def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
+    """The sampled invertibility check of u -> mat(u) on C*: None when
+    it passes, else the determinants it took, as text naming mat
     ``name``.
 
     Takes the determinants of mat at INVERTIBILITY_SAMPLES equally spaced
@@ -824,65 +859,28 @@ def _invertibility_failure(mats: Sequence[LaurentMatrix], name: str) -> Optional
     instance high powers of q) pass.  An overflowed or invalid det reads
     inf or nan, without a numpy warning.
 
-    When every row of mat holds a single exponent e_i (block companions,
-    their isogeny translates), mat(u) = diag(u^e_i) mat(1) and |det| is
-    constant on the circle, so the criterion is one determinant,
-    0 < |det mat(1)| < inf: "|det A(1)| = 0".
-
-    A mat whose det is cached as a monomial c u^k, such as the twisted
-    core of a normal form and its block companions, which are given
-    their det when built, has |det| = |c| on the whole circle; it is
-    judged by |c| alone, as one point, and takes no determinant.
-
-    The rule is picked per matrix, and all read the same numbers: the
-    lowest and highest |det| over the points taken, which must satisfy
-    0 < top and low > 1e-9 top.  The other matrices not judged before
-    are judged together, with one batched determinant for the mat(1) of
-    those under the one-exponent rule and one for the samples of the
-    rest.  Each keeps its verdict, (low, top, points), so judging it
-    again takes no determinant; a matrix made from it starts without a
-    verdict, and without a det unless its maker carried one.
+    |det| is constant on the circle, and the check is one number,
+    0 < |det A(1)| < inf ("|det A(1)| = 0"), when det is cached as a
+    monomial c u^k, as normal forms and their companions carry it, or
+    when each row holds one exponent, where it takes det()'s elimination.
     """
-    todo = [m for m in mats if m._judged is None]
-    if todo:
-        ones, rest = [], []
-        for m in todo:
-            mono = m._det.is_monomial() if m._det is not None else None
-            if mono is not None:
-                det = abs(mono[1])
-                m._judged = (det, det, 1)
-            # at most n live (exponent, row) pairs, as in any one-slice matrix:
-            # one exponent per row, or a zero row, where det mat(1) is exactly
-            # 0 as every sample would be
-            elif len(m._c) <= 1 or np.count_nonzero(m._c.any(axis=2)) <= m.n:
-                ones.append(m)
-            else:
-                _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(m._c), m.n ** 2))
-                rest.append(m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if ones:
-                # abs of each numpy scalar, as np.abs of an array can differ
-                # from it in the last bit
-                for m, det in zip(ones, np.linalg.det(np.array([m._c.sum(axis=0) for m in ones]))):
-                    det = float(abs(det))
-                    m._judged = (det, det, 1)
-            if rest:
-                dets = np.abs(np.linalg.det(np.array([m._at_roots(INVERTIBILITY_SAMPLES) for m in rest])))
-                for m, low, top in zip(rest, dets.min(axis=1).tolist(), dets.max(axis=1).tolist()):
-                    m._judged = (low, top, INVERTIBILITY_SAMPLES)
-    for m in mats:
-        low, top, points = m._judged
-        if not (top > 0.0 and low > 1e-9 * top):
-            if points == 1:
-                return f"|det {name}(1)| = {low:.3g}"
-            return f"|det {name}| from {low:.3g} to {top:.3g} at {points} points of |u| = 1"
-    return None
+    point = (mat._det is not None and mat._det.is_monomial()) or mat._one_point_det()
+    if point is not None:
+        det = math.hypot(point[1].real, point[1].imag)
+        return None if 0.0 < det < math.inf else f"|det {name}(1)| = {det:.3g}"
+    _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(mat._c), mat.n ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
+    low, top = float(dets.min()), float(dets.max())
+    if top > 0.0 and low > 1e-9 * top:
+        return None
+    return f"|det {name}| from {low:.3g} to {top:.3g} at {INVERTIBILITY_SAMPLES} points of |u| = 1"
 
 
 def passes_sampled_invertibility(mat: LaurentMatrix) -> bool:
     """Whether mat passes the sampled invertibility check, a necessary
     condition for invertibility on C*; see _invertibility_failure."""
-    return _invertibility_failure([mat], "A") is None
+    return _invertibility_failure(mat, "A") is None
 
 
 # ---------------------------------------------------------------------------

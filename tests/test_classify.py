@@ -168,12 +168,18 @@ def test_normal_forms_above_rank_8(any_torus):
 def test_normal_forms_past_the_double_range_keep_their_errors():
     # on tau = 5i, |s^-3| ~ 3e20: the det of the rank 16 core overflows at
     # d = 48 and underflows to 0 at d = -48; an overflowed det is not
-    # carried, so the check reports it as it reports any other
+    # carried, so the check reports it as it reports any other.  With the
+    # last parameter the det has finite parts, about 1.5e308 each, but its
+    # modulus overflows
     t = Torus(5j)
-    for d, taken in ((48, "inf"), (-48, "0")):
+    for d, a, taken in (
+        (48, 0.6 + 0.2j, "inf"),
+        (-48, 0.6 + 0.2j, "0"),
+        (48, 0.06371288070284659 + 0.0031300131186687338j, "inf"),
+    ):
         for build in (normal_form, atiyah_construct):
             with pytest.raises(ValueError) as exc:
-                build(t, 16, d, 0.6 + 0.2j)
+                build(t, 16, d, a)
             assert str(exc.value) == f"generator fails the sampled invertibility check (|det A(1)| = {taken})"
 
 

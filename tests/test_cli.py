@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -406,21 +407,24 @@ def test_wide_inputs_are_refused_before_allocation(capsys, monkeypatch):
     # the 16-point invertibility sample of it would need a 16 x 4000001
     # root table, 1 GB.  The peak is bounded by the largest coefficient
     # array the budget admits, 16 bytes x SAMPLE_BUDGET = 64 MiB, plus a
-    # quarter for masks of its slices.
+    # quarter for masks of its slices.  The companion of u^-100 for r = 300
+    # would hold 101 x 300^2 coefficients, which degree could not read back.
     def term(k, re):
         return {"k": k, "re": re, "im": 0.0}
 
     cases = (
-        (2, [[term(-10 ** 6, 1.0)], [term(10 ** 6, 1.0)], [], [term(0, 1.0)]],
+        (["degree"], 2, [[term(-10 ** 6, 1.0)], [term(10 ** 6, 1.0)], [], [term(0, 1.0)]],
          "exponent window of width 2000001 needs 8000004 elements"),
-        (1, [[term(-2 * 10 ** 6, 1.0), term(2 * 10 ** 6, 3.0)]],
+        (["degree"], 1, [[term(-2 * 10 ** 6, 1.0), term(2 * 10 ** 6, 3.0)]],
          "sampling window of width 16 needs 64000016 elements"),
+        (["pushforward", "-r", "300"], 1, [[term(-100, 1.0)]],
+         "exponent window of width 101 needs 9090000 elements"),
     )
-    for n, entries, message in cases:
+    for argv, n, entries, message in cases:
         stdin = json.dumps({"torus": {"tau": [0, 1]}, "A": {"n": n, "entries": entries}})
         tracemalloc.start()
         try:
-            code, out, err = run(capsys, monkeypatch, ["degree"], stdin=stdin)
+            code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,14 +510,41 @@ def test_overflow_prints_no_numpy_warning(capsys, monkeypatch):
 
 
 def test_failed_invertibility_check_reports_the_dets_it_took(capsys, monkeypatch):
-    # the Laurent det of the two overflowing generators has non-finite
-    # coefficients, so the message gives the determinants the check took
+    # the Laurent det of the overflowing generators has non-finite
+    # coefficients, so the message gives the determinants the check took;
+    # eliminating the last one leaves an entry whose modulus overflows
     singular = {"torus": {"tau": [0, 1]}, "A": {"n": 2, "entries": [[{"k": 0, "re": 1, "im": 0}]] * 4}}
+    huge = {"torus": {"tau": [0, 1]}, "A": {"n": 2, "entries": [
+        [{"k": 0, "re": 1e308, "im": 0.0}], [{"k": 0, "re": 0.5e308, "im": 0.5e308}],
+        [{"k": 1, "re": -1e308, "im": 0.0}], [{"k": 1, "re": 1e308, "im": 1e308}]]}}
     for data, taken in (
         (_big([[0], [0], [1], []]), "|det A(1)| = inf"),
         (_big([[0, 1], [1], [0], [0]]), "|det A| from inf to inf at 16 points of |u| = 1"),
         (singular, "|det A(1)| = 0"),
+        (huge, "|det A(1)| = inf"),
     ):
         code, out, err = run(capsys, monkeypatch, ["degree"], stdin=json.dumps(data))
         assert (code, out) == (1, "")
         assert err == f"ValueError: generator fails the sampled invertibility check ({taken})\n"
+
+
+def test_subnormal_pivot_gives_the_degree(capsys, monkeypatch):
+    # det A(1) = -1e-313, a subnormal pivot, which elimination keeps
+    one, tiny = [{"k": 0, "re": 1.0, "im": 0.0}], [{"k": 0, "re": 1e-313, "im": 0.0}]
+    data = {"torus": {"tau": [0.3, 1.1]}, "A": {"n": 2, "entries": [[], one, tiny, []]}}
+    assert run(capsys, monkeypatch, ["degree"], stdin=json.dumps(data)) == (0, '{"degree": 0}\n', "")
+
+
+def test_degree_of_a_normal_form_takes_one_elimination(capsys, monkeypatch):
+    # read from JSON the factor carries no det: its check takes the one
+    # elimination of A(1), and degree reads the det the check kept
+    from torusbundles import laurent
+
+    argv = ["normal-form", "--tau", "0.3+1.1i", "-r", "12", "-d", "8", "-a", "0.6+0.2i"]
+    _, factor, _ = run(capsys, monkeypatch, argv)
+    dets, eliminations = [], []
+    det, pivot_det = np.linalg.det, laurent._pivot_det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: eliminations.append(len(m)) or pivot_det(m))
+    assert run(capsys, monkeypatch, ["degree"], stdin=factor) == (0, '{"degree": 8}\n', "")
+    assert (dets, eliminations) == ([], [12])

@@ -196,24 +196,31 @@ def test_witness_error_names_its_determinants():
     (LaurentMatrix([[LaurentPoly({0: 1, 1: 1})]]), "| from 1.22e-16 to 2 at 16 points of |u| = 1"),
 ], ids=["one-exponent", "sampled"])
 def test_verdict_stays_with_its_matrix(torus, monkeypatch, b, numbers):
+    from torusbundles import laurent
+
     with pytest.raises(ValueError) as as_factor:
         FactorOfAutomorphy(torus, b)
     dets = []
-    det = np.linalg.det
+    det, pivot_det = np.linalg.det, laurent._pivot_det
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: dets.append(len(m)) or pivot_det(m))
     with pytest.raises(ValueError) as as_witness:
         EquivalenceWitness(b)
     assert str(as_factor.value) == f"generator fails the sampled invertibility check (|det A{numbers})"
     assert str(as_witness.value) == f"witness fails the sampled invertibility check (|det B{numbers})"
-    # the second judgement reads the verdict the first one kept
-    assert dets == []
+    if numbers.startswith("(1)"):
+        # one exponent per row: the second judgement reads the det the first one kept
+        assert dets == []
 
 
 def test_matrices_made_from_a_judged_one_are_judged_afresh(torus, rng, monkeypatch):
+    from torusbundles import laurent
+
     a = random_single_exponent_factor(rng, torus, 2).A
     dets = []
-    det = np.linalg.det
+    det, pivot_det = np.linalg.det, laurent._pivot_det
     monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(m.shape) or det(m))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: dets.append(len(m)) or pivot_det(m))
     FactorOfAutomorphy(torus, a)
     assert dets == []
     for made in (a @ a, a + a, a.substitute_scaled(torus.q), a.transpose()):

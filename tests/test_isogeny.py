@@ -240,10 +240,17 @@ def test_roundtrip_raises_the_first_failing_translate():
 
 
 def test_roundtrip_takes_one_determinant(rng, monkeypatch):
+    from torusbundles import laurent
+
     ctx = IsogenyContext.for_degree(Torus(0.3 + 1.1j), 7)
     f = random_single_exponent_factor(rng, ctx.cover, 3)
-    dets = []
-    det = np.linalg.det
+    dets, eliminations = [], []
+    det, pivot_det = np.linalg.det, laurent._pivot_det
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
-    assert len(roundtrip_diag(ctx, f)) == 7
-    assert len(dets) <= 1
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: eliminations.append(len(m)) or pivot_det(m))
+    blocks = roundtrip_diag(ctx, f)
+    assert len(blocks) == 7
+    # one elimination per translate, which its check took and its det() reads
+    for b in blocks:
+        b.A.det()
+    assert (dets, eliminations) == ([], [3] * 7)

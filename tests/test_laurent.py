@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusbundles import (
@@ -117,6 +117,9 @@ def test_substitution_is_multiplicative(p, a, b):
 
 @given(_poly, _poly, _scale)
 @settings(max_examples=60)
+# the exact term 2^-48 u^-8 of the product lies below 1e-12 of its largest
+# coefficient, and dropping it puts the product off by 1.7e-7 at u0
+@example(LaurentPoly({-5: 2 ** -24, 3: 1.0}), LaurentPoly({-3: 2 ** -24, 1: 1.0}), 0.109375)
 def test_substitution_and_eval_are_ring_maps(p, r, u0):
     prod = p * r
     assert abs(prod(u0) - p(u0) * r(u0)) <= 1e-7 * (1.0 + abs(p(u0)) * abs(r(u0)))
@@ -291,6 +294,18 @@ def test_one_exponent_rows_invertibility_matches_sampled_criterion(rng):
                 m = LaurentMatrix(rows, prune=False)
                 assert _sampled_criterion(m) is want
                 assert passes_sampled_invertibility(m) is want
+    # rows scaled 1e200, 1e200, 1e-200, 1e-200, where the running product
+    # of the pivots overflows on the way, and columns scaled the other way
+    # round, where it underflows: det A(1) is of order 1 in both
+    scales = [1e200, 1e200, 1e-200, 1e-200]
+    by_rows = _one_exponent_rows(rng, 4, scales)
+    by_cols = [[p * s for p, s in zip(row, scales[::-1])] for row in _one_exponent_rows(rng, 4, [1.0] * 4)]
+    for rows in (by_rows, by_cols):
+        m = LaurentMatrix(rows, prune=False)
+        assert _sampled_criterion(m) and passes_sampled_invertibility(m)
+        [(k, det)] = m.det().terms()
+        want = np.linalg.det(m.eval_at(1.0))
+        assert abs(det - want) <= 1e-12 * abs(want)
 
 
 def test_sampled_invertibility_spread_over_1e9_fails():
