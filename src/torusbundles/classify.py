@@ -27,6 +27,7 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     Torus,
+    _check_integer,
     _integer_from_json,
 )
 from .cocycle import FactorOfAutomorphy, _is_triangular, _walk_powers
@@ -102,21 +103,20 @@ def reduce_param(t: Torus, a: complex, max_power: Optional[int] = None) -> compl
     return out
 
 
+def _jordan_block(r: int, a: complex) -> np.ndarray:
+    """The r x r array of A_r(a): a on the diagonal, 1 above it."""
+    return complex(a) * np.eye(r, dtype=complex) + np.eye(r, k=1, dtype=complex)
+
+
 def jordan_factor_matrix(r: int, a: complex) -> LaurentMatrix:
     """The constant Jordan block A_r(a): a on the diagonal, 1 above it."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    block = complex(a) * np.eye(r, dtype=complex) + np.eye(r, k=1, dtype=complex)
-    return LaurentMatrix._from_coeffs(0, block[None], prune=False)
+    r = _check_integer(r, "need r >= 1", 1)
+    return LaurentMatrix._from_coeffs(0, _jordan_block(r, a)[None], prune=False)
 
 
 def phi0(t: Torus) -> LaurentPoly:
     """The degree one line bundle factor s^(-1) u^(-1)."""
-    return _phi0_power(t, 1)
-
-
-def _phi0_power(t: Torus, d: int) -> LaurentPoly:
-    return LaurentPoly.monomial(-d, t.s ** (-d))
+    return LaurentPoly.monomial(-1, t.s ** -1)
 
 
 def normal_form_deg0(t: Torus, r: int, a: complex) -> FactorOfAutomorphy:
@@ -130,15 +130,17 @@ def normal_form_deg0(t: Torus, r: int, a: complex) -> FactorOfAutomorphy:
 def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMatrix]:
     """Validate (r, d, a) and split off h = gcd(r, d) (h = r when d = 0):
     returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h,
-    which carries its det, the monomial (s^-d' a)^h u^(-d' h)."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(d, int):
-        raise ValueError(f"degree must be an integer, got {d!r}")
+    which carries its det, the monomial (s^-d' a)^h u^(-d' h).  It is one
+    pruned array c A_h(a) + 0 at exponent -d', c = 0j + s^-d', bit for
+    bit the matrix A_h(a) scaled by the polynomial phi0^d'."""
+    r = _check_integer(r, "rank must be a positive integer", 1)
+    d = _check_integer(d, "degree must be an integer")
     if complex(a) == 0:
         raise ValueError("param must be nonzero")
     h = math.gcd(r, abs(d)) if d != 0 else r
-    return r // h, jordan_factor_matrix(h, a).scaled(_phi0_power(t, d // h))._carry_triangular_det()
+    c = 0j + t.s ** -(d // h)
+    core = LaurentMatrix._from_coeffs(-(d // h), c * _jordan_block(h, a)[None] + 0)
+    return r // h, core._carry_triangular_det()
 
 
 def normal_form(t: Torus, r: int, d: int, a: complex) -> FactorOfAutomorphy:

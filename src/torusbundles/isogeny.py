@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .laurent import LaurentMatrix, Torus, _assemble, _require_same_torus
+import numpy as np
+
+from .laurent import LaurentMatrix, Torus, _check_budget, _check_integer, _require_same_torus
 from .cocycle import FactorOfAutomorphy, iterate
 
 __all__ = [
@@ -26,9 +28,8 @@ __all__ = [
 ]
 
 
-def _check_degree(r) -> None:
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"isogeny degree must be a positive integer, got {r!r}")
+def _check_degree(r) -> int:
+    return _check_integer(r, "isogeny degree must be a positive integer", 1)
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class IsogenyContext:
     r: int
 
     def __post_init__(self) -> None:
-        _check_degree(self.r)
+        object.__setattr__(self, "r", _check_degree(self.r))
         want = self.r * self.base.tau
         if abs(self.cover.tau - want) > 1e-9 * (1.0 + abs(want)):
             raise ValueError(
@@ -49,7 +50,7 @@ class IsogenyContext:
 
     @classmethod
     def for_degree(cls, base: Torus, r: int) -> "IsogenyContext":
-        _check_degree(r)
+        r = _check_degree(r)
         return cls(base, Torus(r * base.tau), r)
 
 
@@ -63,17 +64,23 @@ def pullback(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:
 def companion_block(a: LaurentMatrix, r: int) -> LaurentMatrix:
     """The block cyclic matrix [[0, I], [a, 0]] with I of size (r-1) * n.
 
-    For r = 1 this is just ``a``.  When det a is cached, the companion
-    carries det = (-1)^((r-1) n) det a, so its invertibility check and
-    det() take no determinant.
+    For r = 1 this is just ``a``.  Else the identity diagonal and a are
+    written into one zeroed (K, rn, rn) array, no pruning, which a window
+    past SAMPLE_BUDGET refuses with ValueError before allocation.  When
+    det a is cached, the companion carries det = (-1)^((r-1) n) det a, so
+    its invertibility check and det() take no determinant.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    r = _check_integer(r, "need r >= 1", 1)
     if r == 1:
         return a
-    n = a.n
-    out = _assemble(r * n, [(0, n, LaurentMatrix.identity((r - 1) * n)), ((r - 1) * n, 0, a)])
-    return out._carry_companion_det(a, r)
+    n, k = a.n, len(a._c)
+    # a zero a has _lo = 0 and K = 0, so it adds nothing to the window
+    lo, hi = min(0, a._lo), max(1, a._lo + k)
+    _check_budget("exponent", hi - lo, (r * n) ** 2)
+    out = np.zeros((hi - lo, r * n, r * n), dtype=complex)
+    np.fill_diagonal(out[-lo, :-n, n:], 1)
+    out[a._lo - lo:a._lo - lo + k, -n:, :n] = a._c
+    return LaurentMatrix._from_coeffs(lo, out, prune=False)._carry_companion_det(a, r)
 
 
 def pushforward(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:

@@ -134,6 +134,14 @@ def _require_same_torus(t1: Torus, t2: Torus) -> None:
         raise ValueError(f"torus mismatch: tau={t1.tau!r} vs tau={t2.tau!r}")
 
 
+def _check_integer(k, what: str, least: Optional[int] = None) -> int:
+    """k as an int when it is a Python or numpy integer, not a bool, of
+    at least ``least``; else ValueError "<what>, got <k!r>"."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or (least is not None and k < least):
+        raise ValueError(f"{what}, got {k!r}")
+    return int(k)
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
@@ -224,9 +232,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
+        return _unchecked_poly({k: -v for k, v in self._c.items()})
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -251,10 +257,8 @@ class LaurentPoly:
         la, va = self._dense()
         lb, vb = other._dense()
         lo, bound = la + lb, (PRUNE_REL * np.convolve(np.abs(va), np.abs(vb))).tolist()
-        out = LaurentPoly.__new__(LaurentPoly)
         c = _finite_terms({lo + i: v for i, v in enumerate(np.convolve(va, vb).tolist())})
-        out._c = {k: v for k, v in c.items() if abs(v) > bound[k - lo]}
-        return out
+        return _unchecked_poly({k: v for k, v in c.items() if abs(v) > bound[k - lo]})
 
     __rmul__ = __mul__
 
@@ -283,9 +287,7 @@ class LaurentPoly:
         c = complex(c)
         if c == 0:
             raise ValueError("substitution scale must be nonzero")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = _finite_terms({k: v * c ** k for k, v in self._c.items()})
-        return out
+        return _unchecked_poly(_finite_terms({k: v * c ** k for k, v in self._c.items()}))
 
     def __call__(self, u0: complex) -> complex:
         return sum((v * complex(u0) ** k for k, v in self._c.items()), 0j)
@@ -371,11 +373,17 @@ def poly_close(a: "LaurentPoly | LaurentMatrix", b: "LaurentPoly | LaurentMatrix
 # ---------------------------------------------------------------------------
 
 
+def _unchecked_poly(terms: dict[int, complex]) -> LaurentPoly:
+    """The polynomial of ``terms``, nonzero and finite, as it is: no
+    check and no pruning."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._c = terms
+    return p
+
+
 def _poly_from_values(lo: int, values: Sequence[complex]) -> LaurentPoly:
     """The polynomial sum_k values[k] u^(lo + k), zeros dropped, no pruning."""
-    p = LaurentPoly.__new__(LaurentPoly)
-    p._c = {lo + k: v for k, v in enumerate(values) if v}
-    return p
+    return _unchecked_poly({lo + k: v for k, v in enumerate(values) if v})
 
 
 class LaurentMatrix:
@@ -412,6 +420,9 @@ class LaurentMatrix:
         self._set(lo, c, prune)
 
     def _set(self, lo: int, c: np.ndarray, prune: bool) -> None:
+        """Store sum_k c[k] u^(lo + k), pruned against the largest
+        coefficient when ``prune``, zero end slices trimmed; a nonzero
+        single slice takes one np.count_nonzero and no trim."""
         n = c.shape[1]
         if prune and c.size:
             mag = np.abs(c)
@@ -419,13 +430,14 @@ class LaurentMatrix:
             if not math.isfinite(top):
                 raise ValueError(f"non-finite coefficient in a {n} x {n} matrix")
             c = np.where(mag > PRUNE_REL * top, c, 0)
-        live = c.reshape(len(c), n * n).any(axis=1).nonzero()[0]
-        if live.size == 0:
-            lo, c = 0, c[:0]
-        else:
-            first, last = int(live[0]), int(live[-1])
-            if first or last < len(c) - 1:
-                lo, c = lo + first, c[first:last + 1]
+        if len(c) != 1 or not np.count_nonzero(c):
+            live = c.reshape(len(c), n * n).any(axis=1).nonzero()[0]
+            if live.size == 0:
+                lo, c = 0, c[:0]
+            else:
+                first, last = int(live[0]), int(live[-1])
+                if first or last < len(c) - 1:
+                    lo, c = lo + first, c[first:last + 1]
         self._lo = lo
         self._c = c
         self._det: Optional[LaurentPoly] = None
@@ -707,7 +719,7 @@ class LaurentMatrix:
         pivots = self._c[0].diagonal().tolist() if len(self._c) else [0j]
         det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
         if math.isfinite(math.hypot(det.real, det.imag)):
-            self._det = LaurentPoly({self.n * self._lo: det})
+            self._det = _poly_from_values(self.n * self._lo, [det + 0j])
         return self
 
     def _carry_companion_det(self, a: "LaurentMatrix", r: int) -> "LaurentMatrix":
@@ -716,12 +728,13 @@ class LaurentMatrix:
         a triangular a as above, elimination takes a's diagonal and then
         ones as pivots, with a sign change at each row swap; that differs
         from the sign times det a at most in the sign of a zero part,
-        which LaurentPoly stores as +0, so the det is det()'s bit for
-        bit.  For other a it is det() up to rounding.
+        which + 0j stores as +0, so the det is det()'s bit for bit.  For
+        other a it is det() up to rounding.  The terms of det a are
+        nonzero and pruned already, so they are stored unchecked.
         """
         if a._det is not None:
             sign = (-1) ** ((r - 1) * a.n)
-            self._det = LaurentPoly({k: sign * c for k, c in a._det._c.items()})
+            self._det = _unchecked_poly({k: sign * c + 0j for k, c in a._det._c.items()})
         return self
 
     def inverse_monomial_det(self) -> "LaurentMatrix":
@@ -822,28 +835,21 @@ def matrices_close(a: LaurentMatrix, b: LaurentMatrix, tol: float = CLOSE_TOL) -
     return a.n == b.n and poly_close(a, b, tol)
 
 
-def _assemble(total: int, parts: Sequence[tuple[int, int, LaurentMatrix]]) -> LaurentMatrix:
-    """A total x total matrix holding each (row, col, block) of ``parts``
-    with its top left corner at (row, col), zero elsewhere; no pruning.
-    An exponent window past SAMPLE_BUDGET raises ValueError before the
-    array is allocated."""
-    live = [(r, c, b) for r, c, b in parts if len(b._c)]
-    lo = min((b._lo for _, _, b in live), default=0)
-    hi = max((b._lo + len(b._c) for _, _, b in live), default=lo)
-    _check_budget("exponent", hi - lo, total * total)
-    out = np.zeros((hi - lo, total, total), dtype=complex)
-    for r, c, b in live:
-        out[b._lo - lo:b._lo - lo + len(b._c), r:r + b.n, c:c + b.n] = b._c
-    return LaurentMatrix._from_coeffs(lo, out, prune=False)
-
-
 def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
-    """The block diagonal matrix of ``blocks``; a coefficient array past
-    SAMPLE_BUDGET raises ValueError before it is allocated."""
+    """The block diagonal matrix of ``blocks``, no pruning; a coefficient
+    array past SAMPLE_BUDGET raises ValueError before it is allocated."""
     if not blocks:
         raise ValueError("need at least one block")
     offsets = np.cumsum([0] + [b.n for b in blocks]).tolist()
-    return _assemble(offsets[-1], [(off, off, b) for off, b in zip(offsets, blocks)])
+    live = [(off, b) for off, b in zip(offsets, blocks) if len(b._c)]
+    lo = min((b._lo for _, b in live), default=0)
+    hi = max((b._lo + len(b._c) for _, b in live), default=lo)
+    total = offsets[-1]
+    _check_budget("exponent", hi - lo, total * total)
+    out = np.zeros((hi - lo, total, total), dtype=complex)
+    for off, b in live:
+        out[b._lo - lo:b._lo - lo + len(b._c), off:off + b.n, off:off + b.n] = b._c
+    return LaurentMatrix._from_coeffs(lo, out, prune=False)
 
 
 def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:

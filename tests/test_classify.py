@@ -29,7 +29,8 @@ from torusbundles import (
     reduce_param,
     tensor,
 )
-from helpers import random_factor, winding_on_unit_circle
+from torusbundles.classify import _twisted_core
+from helpers import matrix_bytes, random_factor, winding_on_unit_circle
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,93 @@ def test_degree_of_normal_forms_takes_no_determinant(monkeypatch, d):
     assert degree(normal_form(t, 12, d, 0.6 + 0.2j)) == d
     assert degree(atiyah_construct(t, 12, d, 0.6 + 0.2j)) == d
     assert dets == []
+
+
+def _scaled_core(t, r, d, a):
+    """The twisted Jordan core as it was composed: the Jordan factor
+    scaled by the monomial phi0^d' = s^-d' u^-d', with its det carried
+    through the validating LaurentPoly constructor."""
+    h = math.gcd(r, abs(d)) if d else r
+    core = jordan_factor_matrix(h, a).scaled(LaurentPoly.monomial(-(d // h), t.s ** -(d // h)))
+    pivots = core._c[0].diagonal().tolist() if len(core._c) else [0j]
+    det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
+    if math.isfinite(math.hypot(det.real, det.imag)):
+        core._det = LaurentPoly({h * core._lo: det})
+    return r // h, core
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
+def test_twisted_core_is_the_scaled_jordan_factor_byte_for_byte(tau):
+    # a = 1e13 prunes the ones above the diagonal, 1e-5j keeps them.  On
+    # tau = i, where s^-d' is real, -1.3 gives dets with a -0 part, and
+    # -1.3 - 1e-320j products whose imaginary part underflows to -0;
+    # both are stored as +0
+    t = Torus(tau)
+    for a in (0.6 + 0.2j, -1.3, complex(-1.3, -1e-320), 1e-5j, 1e13):
+        for r in range(1, 17):
+            for d in range(-8, 9):
+                rp, core = _twisted_core(t, r, d, a)
+                want_rp, want = _scaled_core(t, r, d, a)
+                assert (rp, matrix_bytes(core)) == (want_rp, matrix_bytes(want))
+
+
+def test_twisted_core_past_the_double_range_is_the_scaled_jordan_factor():
+    # on tau = 5i, s^48 underflows to 0, so the core of (1, -48) is the
+    # zero matrix; the det of the rank 16 core underflows to 0 at d = -48
+    # and overflows at d = 48, where no det is carried; (1, -47) and
+    # (1, 45) reach the edges of the double range
+    t = Torus(5j)
+    for r, d in ((1, -48), (16, -48), (16, 48), (1, -47), (1, 45)):
+        rp, core = _twisted_core(t, r, d, 0.6 + 0.2j)
+        want_rp, want = _scaled_core(t, r, d, 0.6 + 0.2j)
+        assert (rp, matrix_bytes(core)) == (want_rp, matrix_bytes(want))
+    assert _twisted_core(t, 1, -48, 0.6 + 0.2j)[1]._c.shape == (0, 1, 1)
+    assert _twisted_core(t, 16, 48, 0.6 + 0.2j)[1]._det is None
+
+
+@pytest.mark.parametrize("r, d", [(12, 8), (12, 0), (12, -9), (5, 3)])
+def test_normal_forms_build_two_arrays_and_no_polynomial(monkeypatch, r, d):
+    # the core and its companion are one coefficient array each, one
+    # when r' = 1, and their dets are carried without a LaurentPoly
+    # constructor or a determinant
+    from torusbundles import laurent
+
+    calls = []
+    set_, init = laurent.LaurentMatrix._set, laurent.LaurentPoly.__init__
+    det, pivot_det = np.linalg.det, laurent._pivot_det
+    monkeypatch.setattr(laurent.LaurentMatrix, "_set", lambda m, *args: calls.append("array") or set_(m, *args))
+    monkeypatch.setattr(laurent.LaurentPoly, "__init__", lambda p, *args: calls.append("poly") or init(p, *args))
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append("det") or det(a))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: calls.append("det") or pivot_det(m))
+    t = Torus(0.3 + 1.1j)
+    rp = r // (math.gcd(r, abs(d)) if d else r)
+    for build in (normal_form, atiyah_construct):
+        calls.clear()
+        build(t, r, d, 0.6 + 0.2j)
+        assert calls == ["array"] * (1 if rp == 1 else 2)
+
+
+def test_integer_arguments_take_numpy_integers_and_refuse_bools(torus):
+    want = normal_form(torus, 6, 4, 0.5).A
+    for build in (normal_form, atiyah_construct):
+        got = build(torus, np.int64(6), np.int32(4), 0.5).A
+        assert matrix_bytes(got) == matrix_bytes(want)
+        for r, d, text in (
+            (True, 0, "rank must be a positive integer, got True"),
+            (0, 1, "rank must be a positive integer, got 0"),
+            (np.int64(-2), 1, "rank must be a positive integer, got np.int64(-2)"),
+            (2.0, 1, "rank must be a positive integer, got 2.0"),
+            (3, False, "degree must be an integer, got False"),
+            (2, 1.5, "degree must be an integer, got 1.5"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build(torus, r, d, 0.5)
+            assert str(exc.value) == text
+    assert matrix_bytes(jordan_factor_matrix(np.int64(3), 0.5)) == matrix_bytes(jordan_factor_matrix(3, 0.5))
+    for r in (0, True, 2.0):
+        with pytest.raises(ValueError) as exc:
+            jordan_factor_matrix(r, 0.5)
+        assert str(exc.value) == f"need r >= 1, got {r!r}"
 
 
 def test_companion_carries_the_det_of_its_block(rng):

@@ -18,6 +18,7 @@ from torusbundles import (
     iterate,
     jordan_type_unipotent,
     matrices_close,
+    normal_form,
 )
 
 from helpers import (
@@ -134,6 +135,16 @@ def test_cocycle_law(any_torus, rng):
                 lhs = its[m + mp]
                 rhs = its[m].substitute_scaled(q ** mp) @ its[mp]
                 assert matrices_close(lhs, rhs, 1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: matmul prunes each coefficient "
+                   "against the largest one of the whole product")
+def test_iterate_keeps_every_entry_of_a_widely_scaled_product():
+    # A(q^2 u) A(q u) A(u) of this normal form has 4 nonzero entries,
+    # one term each, from 1 to 2.7e20; pruning each product at 1e-12 of
+    # its largest coefficient leaves 2 of them
+    m = iterate(normal_form(Torus(1j), 4, 3, 0.94), 3)
+    assert np.count_nonzero(m._c.any(axis=0)) == 4
 
 
 def test_iterate_rejects_non_integer(torus, rng):

@@ -25,7 +25,7 @@ from torusbundles import (
     roundtrip_diag,
 )
 from torusbundles.classify import _twisted_core
-from helpers import random_monomial_det_matrix, random_single_exponent_factor
+from helpers import matrix_bytes, random_monomial_det_matrix, random_single_exponent_factor
 
 
 @pytest.fixture
@@ -54,6 +54,17 @@ def test_context_rejects_wrong_cover():
         IsogenyContext.for_degree(Torus(1j), 0)
     with pytest.raises(ValueError):
         IsogenyContext.for_degree(Torus(1j), 2.0)
+
+
+def test_context_takes_numpy_integers_and_refuses_bools():
+    base = Torus(1j)
+    for ctx in (IsogenyContext.for_degree(base, np.int64(2)), IsogenyContext(base, Torus(2j), np.int32(2))):
+        assert ctx == IsogenyContext.for_degree(base, 2)
+        assert type(ctx.r) is int
+    for r in (True, 0, np.int64(-1)):
+        with pytest.raises(ValueError) as exc:
+            IsogenyContext.for_degree(base, r)
+        assert str(exc.value) == f"isogeny degree must be a positive integer, got {r!r}"
 
 
 def test_degree_one_is_identity_transport(rng):
@@ -103,6 +114,71 @@ def test_companion_block_layout(torus, rng):
     assert np.allclose(m[2:4, 4:6], eye)
     assert np.allclose(m[4:6, 0:2], a.eval_at(u0))
     assert np.allclose(m[0:2, 0:2], 0)
+
+
+def _assembled_companion(a, r):
+    """[[0, I], [a, 0]] as it was assembled from the blocks I = identity
+    of size (r-1) n and a: their block diagonal with its columns rotated
+    by n, and the det (-1)^((r-1) n) det a through the validating
+    LaurentPoly constructor."""
+    n = a.n
+    diag = block_diagonal([LaurentMatrix.identity((r - 1) * n), a])
+    want = LaurentMatrix._from_coeffs(diag._lo, np.roll(diag._c, n, axis=2), prune=False)
+    if a._det is not None:
+        sign = (-1) ** ((r - 1) * n)
+        want._det = LaurentPoly({k: sign * c for k, c in a._det._c.items()})
+    return want
+
+
+def _companion_blocks(rng):
+    """Blocks of every kind companion_block meets, with and without a
+    carried det: the twisted Jordan cores of the normal form grid r <= 16,
+    |d| <= 8 on both tori (with their r'), blocks of several exponents on
+    either side of 0, a det of several terms, and the zero block.  On
+    tau = i, a = -1.3 gives real dets, whose sign change leaves a -0
+    part that is stored as +0."""
+    for tau in (1j, 0.3 + 1.1j):
+        for a in (0.6 + 0.2j, -1.3):
+            for r in range(1, 17):
+                for d in range(-8, 9):
+                    rp, core = _twisted_core(Torus(tau), r, d, a)
+                    yield core, rp
+    u = LaurentPoly.monomial(1)
+    several = [
+        random_monomial_det_matrix(rng, 3),
+        LaurentMatrix([[u ** 2, 3 * u ** 4], [0, 1j * u ** 3]]),
+        LaurentMatrix([[LaurentPoly({-3: 1.0, -1: 2j}), 0], [0.5, LaurentPoly.monomial(-2)]]),
+        LaurentMatrix([[1 + u, u ** 2], [3, LaurentPoly.monomial(-1)]]),
+        LaurentMatrix.zeros(2),
+    ]
+    for a in several:
+        for r in (2, 3, 5):
+            yield LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False), r
+        a.det()
+        for r in (2, 3, 5):
+            yield a, r
+
+
+def test_companion_block_is_the_assembled_companion_byte_for_byte(rng):
+    count = 0
+    for a, r in _companion_blocks(rng):
+        got = companion_block(a, r)
+        if r == 1:
+            assert got is a
+            continue
+        assert matrix_bytes(got) == matrix_bytes(_assembled_companion(a, r))
+        count += 1
+    # 864 grid cores with r' > 1, 30 other blocks
+    assert count == 894
+
+
+def test_companion_block_takes_numpy_integers_and_refuses_bools():
+    a = jordan_factor_matrix(2, 0.5)
+    assert matrix_bytes(companion_block(a, np.int64(3))) == matrix_bytes(companion_block(a, 3))
+    for r in (True, 0, 1.0):
+        with pytest.raises(ValueError) as exc:
+            companion_block(a, r)
+        assert str(exc.value) == f"need r >= 1, got {r!r}"
 
 
 def test_pushforward_shape_and_torus(ctx, rng):
