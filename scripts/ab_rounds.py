@@ -1,0 +1,120 @@
+"""Time one benchmark round of two checkouts against each other in one process.
+
+    python3 scripts/ab_rounds.py PARENT_DIR [--workload cocycle|classify] [--seed S] [--blocks N]
+
+PARENT_DIR is another checkout of this repository, the one compared
+against; the other side is the checkout this script lives in.  Each
+side's package is loaded from its ``src/`` under its own name
+(``tb_parent``, ``tb_change``), and each side's round is built from its
+own ``bench/workloads.py`` with the same seed, so both time the same
+inputs.  Blocks alternate: each block runs one whole round of each side,
+the side that runs first alternating from block to block, and a round's
+time is the CPU time of this process (``time.process_time``).  Task
+checks run once, untimed, on a warm-up round of each side.
+
+The script prints both medians of the round time, the median ratio
+change/parent and the blocks the change won.  Being one process, it sees
+no start-up or import cost; ``bench/run.py`` gives the end-to-end figures.
+"""
+
+import os
+
+# one BLAS thread, set before numpy is imported, as bench/run.py does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = {"cocycle": "cocycle_round", "classify": "classify_round"}
+
+
+def _load(name: str, path: Path, package: bool):
+    """The module or package at ``path``, imported as ``name``."""
+    if package:
+        spec = importlib.util.spec_from_file_location(name, path / "__init__.py", submodule_search_locations=[str(path)])
+    else:
+        spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def side_round(checkout: Path, name: str, workload: str, seed: int) -> list:
+    """The tasks of one round of ``workload``, built by the checkout's own
+    bench/workloads.py on the checkout's own package."""
+    tb = _load(f"tb_{name}", checkout / "src" / "torusbundles", package=True)
+    bench = str(checkout / "bench")
+    # workloads imports its helpers as top-level checks and dense: take this checkout's
+    for helper in ("checks", "dense"):
+        sys.modules.pop(helper, None)
+    sys.path.insert(0, bench)
+    try:
+        workloads = _load(f"workloads_{name}", checkout / "bench" / "workloads.py", package=False)
+    finally:
+        sys.path.remove(bench)
+    return getattr(workloads, ROUNDS[workload])(tb, np.random.default_rng(seed))
+
+
+def failures(tasks: list) -> int:
+    """Tasks of one untimed round whose run or check fails."""
+    failed = 0
+    for task in tasks:
+        try:
+            task.check(task.run())
+        except Exception:  # a wrong output or the program's own error
+            failed += 1
+    return failed
+
+
+def round_seconds(tasks: list) -> float:
+    gc.collect()
+    t0 = time.process_time()
+    for task in tasks:
+        try:
+            task.run()
+        except Exception:  # counted by failures(); the time still counts
+            pass
+    return time.process_time() - t0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path, metavar="PARENT_DIR", help="the checkout compared against")
+    ap.add_argument("--workload", choices=sorted(ROUNDS), default="cocycle")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--blocks", type=int, default=30)
+    args = ap.parse_args(argv)
+    if args.blocks < 1:
+        ap.error("--blocks must be at least 1")
+
+    sides = {
+        "parent": side_round(args.parent.resolve(), "parent", args.workload, args.seed),
+        "change": side_round(ROOT, "change", args.workload, args.seed),
+    }
+    print(f"{args.workload} round of {len(sides['change'])} tasks, seed {args.seed}, {args.blocks} blocks")
+    print("failed tasks per round: " + ", ".join(f"{k} {failures(v)}" for k, v in sides.items()))
+    times = {k: [] for k in sides}
+    for block in range(args.blocks):
+        order = ("parent", "change") if block % 2 == 0 else ("change", "parent")
+        for k in order:
+            times[k].append(round_seconds(sides[k]))
+    med = {k: statistics.median(v) for k, v in times.items()}
+    for k in sides:
+        print(f"{k}: median {1e3 * med[k]:.2f} ms per round")
+    won = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    print(f"ratio change/parent {med['change'] / med['parent']:.4f}, blocks won by the change {won} of {args.blocks}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,10 +60,8 @@ class BundleDescriptor:
     param: complex
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if not isinstance(self.degree, int):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        object.__setattr__(self, "rank", _check_integer(self.rank, "rank must be a positive integer", 1))
+        object.__setattr__(self, "degree", _check_integer(self.degree, "degree must be an integer"))
         if complex(self.param) == 0:
             raise ValueError("param must be a nonzero complex number")
         object.__setattr__(self, "param", complex(self.param))
@@ -132,13 +130,17 @@ def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMat
     returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h,
     which carries its det, the monomial (s^-d' a)^h u^(-d' h).  It is one
     pruned array c A_h(a) + 0 at exponent -d', c = 0j + s^-d', bit for
-    bit the matrix A_h(a) scaled by the polynomial phi0^d'."""
+    bit the matrix A_h(a) scaled by the polynomial phi0^d'.  A power
+    s^-d' past the double range raises ValueError."""
     r = _check_integer(r, "rank must be a positive integer", 1)
     d = _check_integer(d, "degree must be an integer")
     if complex(a) == 0:
         raise ValueError("param must be nonzero")
     h = math.gcd(r, abs(d)) if d != 0 else r
-    c = 0j + t.s ** -(d // h)
+    try:
+        c = 0j + t.s ** -(d // h)
+    except ArithmeticError:  # s^d' underflows to 0, or s^-d' overflows
+        raise ValueError(f"twist s^-d' is past the double range: d' = {d // h}, |s| = {abs(t.s):.6g}") from None
     core = LaurentMatrix._from_coeffs(-(d // h), c * _jordan_block(h, a)[None] + 0)
     return r // h, core._carry_triangular_det()
 

@@ -25,6 +25,7 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     NotNilpotent,
+    SAMPLE_BUDGET,
     Torus,
     _invertibility_failure,
     _require_same_torus,
@@ -110,6 +111,12 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     negative m the product A(q^m u)^(-1) ... A(q^(-1) u)^(-1) of one
     inverse A^(-1), which needs det A to be a monomial and raises
     NotInvertibleInRing otherwise.
+
+    The translates are taken as one stack, in chunks of at most
+    SAMPLE_BUDGET elements, and multiplied through in order.  Each power
+    q^i is taken inside the stack's guard, and a translate that fails is
+    raised after the product of those before it, so the first error is
+    the one a product of one substitution at a time meets first.
     """
     if not isinstance(m, (int, np.integer)):
         raise TypeError(f"m must be an integer, got {m!r}")
@@ -119,10 +126,14 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     if m > 0:
         base, acc, powers = f.A, f.A, range(1, m)
     else:
-        base = f.A.inverse_monomial_det()
-        acc, powers = base.substitute_scaled(q ** -1), range(-2, m - 1, -1)
-    for i in powers:
-        acc = base.substitute_scaled(q ** i) @ acc
+        base, acc, powers = f.A.inverse_monomial_det(), None, range(-1, m - 1, -1)
+    chunk = max(1, SAMPLE_BUDGET // base._c.size)
+    for start in range(0, len(powers), chunk):
+        translates, failure = base._translates(q ** i for i in powers[start:start + chunk])
+        for t in translates:
+            acc = t if acc is None else t @ acc
+        if failure is not None:
+            raise failure
     return acc
 
 

@@ -13,12 +13,16 @@ operation coefficients smaller than ``PRUNE_REL`` times the largest one
 polynomials, times the coefficient of |a| * |b|) are dropped, so
 supports stay finite and exactly representable.
 
-A scalar is a LaurentPoly, a dict from exponent to coefficient.  A
-LaurentMatrix is its lowest exponent plus one dense complex array of
-shape (K, n, n), coefficient slices of consecutive exponents: products
-loop over the K shifts of a batched matrix product, and substitution
-u -> c u multiplies by the weights c^k, for several scales c in one
-broadcast.
+A scalar is a LaurentPoly, a dict from exponent to coefficient, built
+in one pass over its terms: _finite_terms checks each term and keeps
+the smallest and largest modulus, and the prune runs only when the
+smallest is at most PRUNE_REL times the largest.  A LaurentMatrix is
+its lowest exponent plus one dense complex array of shape (K, n, n),
+coefficient slices of consecutive exponents: products loop over the K
+shifts of a batched matrix product, and substitution u -> c u
+multiplies by the weights c^k, for several scales c in one broadcast.
+iterate takes all its translates A(q^i u) as such a stack, with each
+power q^i taken inside the stack's guard.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -158,8 +162,8 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Optional[Mapping[int, complex]] = None):
-        c = _finite_terms(coeffs or {})
-        if c:
+        c, low, top = _finite_terms(coeffs or {})
+        if low <= PRUNE_REL * top:
             threshold = PRUNE_REL * max(abs(v) for v in c.values())
             c = {k: v for k, v in c.items() if abs(v) > threshold}
         self._c = c
@@ -257,7 +261,7 @@ class LaurentPoly:
         la, va = self._dense()
         lb, vb = other._dense()
         lo, bound = la + lb, (PRUNE_REL * np.convolve(np.abs(va), np.abs(vb))).tolist()
-        c = _finite_terms({lo + i: v for i, v in enumerate(np.convolve(va, vb).tolist())})
+        c = _finite_terms({lo + i: v for i, v in enumerate(np.convolve(va, vb).tolist())})[0]
         return _unchecked_poly({k: v for k, v in c.items() if abs(v) > bound[k - lo]})
 
     __rmul__ = __mul__
@@ -287,7 +291,7 @@ class LaurentPoly:
         c = complex(c)
         if c == 0:
             raise ValueError("substitution scale must be nonzero")
-        return _unchecked_poly(_finite_terms({k: v * c ** k for k, v in self._c.items()}))
+        return _unchecked_poly(_finite_terms({k: v * c ** k for k, v in self._c.items()})[0])
 
     def __call__(self, u0: complex) -> complex:
         return sum((v * complex(u0) ** k for k, v in self._c.items()), 0j)
@@ -329,22 +333,39 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _finite_terms(coeffs: Mapping[int, complex]) -> dict[int, complex]:
-    """The nonzero terms of ``coeffs``, repeated exponents summed; a
-    non-integer exponent raises TypeError, a non-finite modulus ValueError."""
+def _finite_terms(coeffs: Mapping[int, complex]) -> tuple[dict[int, complex], float, float]:
+    """The nonzero terms of ``coeffs``, repeated exponents summed, with
+    the smallest and largest modulus among them; a repeated exponent
+    sets the smallest to 0, as its sum may cancel.  A non-integer
+    exponent raises TypeError, a non-finite modulus ValueError."""
     c: dict[int, complex] = {}
+    low, top = math.inf, 0.0
     for k, v in coeffs.items():
-        if not isinstance(k, (int, np.integer)):
+        if type(k) is int:
+            e = k
+        elif isinstance(k, (int, np.integer)):
+            e = int(k)
+        else:
             raise TypeError(f"exponent must be an integer, got {k!r}")
         v = complex(v)
-        try:  # abs raises OverflowError itself when finite parts have no finite modulus
-            if not math.isfinite(abs(v)):
-                raise OverflowError
-        except OverflowError:
-            raise ValueError(f"non-finite coefficient {v!r} at exponent {k}") from None
-        if v != 0:
-            c[int(k)] = c.get(int(k), 0j) + v
-    return c
+        try:
+            a = abs(v)
+        except OverflowError:  # finite parts whose modulus is past the double range
+            a = math.inf
+        if not a < math.inf:  # inf or nan
+            raise ValueError(f"non-finite coefficient {v!r} at exponent {k}")
+        if a:
+            if e in c:
+                c[e] += v
+                low = 0.0
+            else:
+                # 0j + v stores a zero part as +0
+                c[e] = 0j + v
+                if a < low:
+                    low = a
+                if a > top:
+                    top = a
+    return c, low, top
 
 
 def _as_poly(x) -> Optional[LaurentPoly]:
@@ -564,30 +585,32 @@ class LaurentMatrix:
             raise failure
         return translates[0]
 
-    def _translates(self, scales: Sequence[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
+    def _translates(self, scales: Iterable[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
         """The matrices self(c u) for the scales c in order, as views of
-        one (len(scales), K, n, n) stack: one broadcast multiply by the
-        weights c^k and one finiteness test.  Stops at the first scale
-        whose substitution fails, as substitute_scaled describes, and
-        returns the translates before it with that error, or None."""
+        one (count, K, n, n) stack: one broadcast multiply by the weights
+        c^k and one finiteness test.  ``scales`` is read one scale at a
+        time inside the guard, so a lazy iterable of powers q^i has each
+        power taken there.  Stops at the first scale that fails, whether
+        its power, a weight or the product, as substitute_scaled
+        describes, and returns the translates before it with that error,
+        or None."""
         lo, width = self._lo, len(self._c)
-        weights, count, failure = [], 0, None
-        for c in scales:
-            c = complex(c)
-            if c == 0:
-                failure = ValueError("substitution scale must be nonzero")
-                break
-            try:
+        taken, weights, failure = [], [], None
+        try:
+            for c in scales:
+                c = complex(c)
+                if c == 0:
+                    failure = ValueError("substitution scale must be nonzero")
+                    break
                 weights += [c ** k for k in range(lo, lo + width)]
-            except ArithmeticError as exc:
-                failure = exc
-                break
-            count += 1
+                taken.append(c)
+        except ArithmeticError as exc:
+            failure = exc
         with np.errstate(over="ignore", invalid="ignore"):
             # self._c[None], not self._c: numpy picks its multiply loop by the
             # operands' strides, and this way each element takes the loop,
             # and gets the bytes, of the one-scale product _c * w[:, None, None]
-            out = self._c[None] * np.array(weights, dtype=complex).reshape(count, width, 1, 1)
+            out = self._c[None] * np.array(weights, dtype=complex).reshape(len(taken), width, 1, 1)
             # a finite sum means finite terms; only an overflowed or
             # invalid sum needs the test term by term
             suspect = not cmath.isfinite(out.sum())
@@ -595,7 +618,7 @@ class LaurentMatrix:
             finite = np.isfinite(out).all(axis=(1, 2, 3))
             if not finite.all():
                 j = int(finite.argmin())
-                failure = ValueError(f"non-finite coefficient after substituting u -> {complex(scales[j])} u")
+                failure = ValueError(f"non-finite coefficient after substituting u -> {taken[j]} u")
                 out = out[:j]
         return [LaurentMatrix._from_coeffs(lo, out[i], prune=False) for i in range(len(out))], failure
 

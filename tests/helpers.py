@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from torusbundles import FactorOfAutomorphy, LaurentMatrix, LaurentPoly
+from torusbundles import PRUNE_REL, FactorOfAutomorphy, LaurentMatrix, LaurentPoly
 
 
 def random_constant_invertible(rng, n, cond_cap=50.0):
@@ -87,3 +87,25 @@ def matrix_bytes(m):
     if det is not None:
         det = [k for k, _ in det], np.array([c for _, c in det], dtype=complex).tobytes()
     return m._lo, m._c.shape, m._c.tobytes(), det
+
+
+def reference_poly_terms(coeffs):
+    """The terms LaurentPoly(coeffs) stores, by the plain two-pass rule:
+    check and sum every term, then prune below PRUNE_REL times the
+    largest modulus.  An oracle for the one-pass constructor."""
+    c = {}
+    for k, v in coeffs.items():
+        if not isinstance(k, (int, np.integer)):
+            raise TypeError(f"exponent must be an integer, got {k!r}")
+        v = complex(v)
+        try:
+            if not math.isfinite(abs(v)):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"non-finite coefficient {v!r} at exponent {k}") from None
+        if v != 0:
+            c[int(k)] = c.get(int(k), 0j) + v
+    if c:
+        threshold = PRUNE_REL * max(abs(v) for v in c.values())
+        c = {k: v for k, v in c.items() if abs(v) > threshold}
+    return c

@@ -184,6 +184,17 @@ def test_normal_forms_past_the_double_range_keep_their_errors():
             assert str(exc.value) == f"generator fails the sampled invertibility check (|det A(1)| = {taken})"
 
 
+def test_twist_past_the_double_range_is_a_domain_error():
+    # on tau = 5i, |s| = 1.5e-7: s^48 underflows to 0 and s^-46 overflows,
+    # which Python's power reports as ZeroDivisionError and OverflowError
+    t = Torus(5j)
+    for r, d, dp in ((11, 48, 48), (1, 46, 46), (2, 94, 47)):
+        for build in (normal_form, atiyah_construct):
+            with pytest.raises(ValueError) as exc:
+                build(t, r, d, 0.6 + 0.2j)
+            assert str(exc.value) == f"twist s^-d' is past the double range: d' = {dp}, |s| = 1.50702e-07"
+
+
 @pytest.mark.parametrize("d", [8, 0])
 def test_degree_of_normal_forms_takes_no_determinant(monkeypatch, d):
     from torusbundles import laurent
@@ -426,3 +437,18 @@ def test_descriptor_validation():
         BundleDescriptor(2, 0, 0.0)
     with pytest.raises(ValueError):
         BundleDescriptor(2, 0.5, 1.0)
+
+
+def test_descriptor_takes_numpy_integers_and_refuses_bools():
+    d = BundleDescriptor(np.int64(2), np.int32(-3), 1.0)
+    assert (d.rank, d.degree) == (2, -3) and (type(d.rank), type(d.degree)) == (int, int)
+    assert descriptor_from_json(descriptor_to_json(d)) == d
+    for args, text in (
+        ((True, 0, 1.0), "rank must be a positive integer, got True"),
+        ((np.int64(0), 0, 1.0), "rank must be a positive integer, got np.int64(0)"),
+        ((2, False, 1.0), "degree must be an integer, got False"),
+        ((2, 0.5, 1.0), "degree must be an integer, got 0.5"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            BundleDescriptor(*args)
+        assert str(exc.value) == text

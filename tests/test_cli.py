@@ -502,6 +502,13 @@ def test_arithmetic_failure_is_a_one_line_error(argv, capsys, monkeypatch):
     assert (code, out, err) == (1, "", "ZeroDivisionError: 0.0 to a negative or complex power\n")
 
 
+def test_twist_past_the_double_range_is_a_one_line_error(capsys, monkeypatch):
+    argv = ["normal-form", "--tau", "0+5i", "-r", "11", "-d", "48", "-a", "0.6+0.2i"]
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert (code, out) == (1, "")
+    assert err == "ValueError: twist s^-d' is past the double range: d' = 48, |s| = 1.50702e-07\n"
+
+
 def test_overflow_prints_no_numpy_warning(capsys, monkeypatch):
     # the suite turns RuntimeWarning into an error, so a warning would escape main
     _, factor, _ = run(capsys, monkeypatch, ["normal-form", "--tau", "0+1i", "-r", "1", "-d", "8", "-a", "1"])

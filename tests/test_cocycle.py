@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,83 @@ def test_negative_iterates_of_a_mixed_factor(torus):
                 else:
                     want = np.linalg.inv(t) @ np.diag(1 / d) @ np.linalg.inv(s) @ want
             assert np.max(np.abs(got.eval_at(u0) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _pinned_factor(name):
+    t, u = Torus(1j), LaurentPoly.monomial
+    if name == "single u^1":
+        return FactorOfAutomorphy(t, LaurentMatrix([[u(1, 2), u(1, 1)], [u(1, 1), u(1, 1)]]))
+    if name == "single u^-1":
+        return FactorOfAutomorphy(t, LaurentMatrix([[u(-1, 0.5)]]))
+    if name == "mixed":
+        left = LaurentMatrix.from_constant([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        right = LaurentMatrix.from_constant([[1, 2, 0], [0, 1, 0], [0, 1, 1]])
+        return FactorOfAutomorphy(t, left @ LaurentMatrix.diagonal([u(-1), 1, u(1)]) @ right)
+    r, d = {"normal form (2, 1)": (2, 1), "normal form (3, -2)": (3, -2)}[name]
+    return normal_form(t, r, d, 0.6 + 0.2j)
+
+
+_MATMUL = "non-finite coefficient in a {} x {} matrix"
+_SCALE = "non-finite coefficient after substituting u -> (3.458631861633369e+155+0j) u"
+
+
+# what taking the translates one substitution at a time raises on tau = i;
+# a matmul overflow that comes before an overflowing power q^i is raised
+# first, and None marks an iterate that builds
+@pytest.mark.parametrize("name, m, error", [
+    ("single u^1", -150, (OverflowError, "complex exponentiation")),
+    ("single u^1", -120, (OverflowError, "complex exponentiation")),
+    ("single u^1", -101, None),
+    ("single u^1", 101, None),
+    ("single u^1", 150, (ValueError, "substitution scale must be nonzero")),
+    *[("single u^-1", m, (ValueError, _MATMUL.format(1, 1))) for m in (-150, -120, -101, 101, 150)],
+    *[("normal form (2, 1)", m, (ValueError, _MATMUL.format(2, 2))) for m in (-150, -120, -101, 101, 150)],
+    *[("normal form (3, -2)", m, (ValueError, _SCALE)) for m in (-150, -120, -101)],
+    ("normal form (3, -2)", 101, None),
+    ("normal form (3, -2)", 150, (ValueError, "substitution scale must be nonzero")),
+    *[("mixed", m, (ValueError, _MATMUL.format(3, 3))) for m in (-150, -120, -101, 101, 150)],
+])
+def test_long_iterates_raise_the_first_error_of_the_product(name, m, error):
+    f = _pinned_factor(name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if error is None:
+            iterate(f, m)
+            return
+        with pytest.raises(error[0]) as exc:
+            iterate(f, m)
+    assert str(exc.value) == error[1]
+
+
+@pytest.mark.parametrize("m", [3000, -3000])
+def test_long_iterate_takes_its_translates_in_bounded_stacks(monkeypatch, m):
+    # |q| = 0.9937, so q^i stays in range for |i| in the thousands; with
+    # a budget of 1024 elements each stack holds 128 translates of 8
+    from torusbundles import cocycle
+
+    f = FactorOfAutomorphy(Torus(0.001j), LaurentMatrix([[1, LaurentPoly.monomial(1)], [0, 1]]))
+    want = iterate(f, m)
+    stacks, translates = [], LaurentMatrix._translates
+
+    def spy(mat, scales):
+        out = translates(mat, scales)
+        stacks.append(sum(t._c.size for t in out[0]))
+        return out
+
+    monkeypatch.setattr(LaurentMatrix, "_translates", spy)
+    monkeypatch.setattr(cocycle, "SAMPLE_BUDGET", 1024)
+    peaks = []
+    for k in (m, 2 * m):
+        tracemalloc.start()
+        got = iterate(f, k)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        if k == m:
+            assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
+    # A(k, u) takes k - 1 translates for k > 0 and -k for k < 0
+    count = sum(math.ceil((k - 1 if k > 0 else -k) / 128) for k in (m, 2 * m))
+    assert max(stacks) == 1024 and len(stacks) == count
+    # 16 bytes an element: a stack is 16 KiB, and the peak does not grow with |m|
+    assert peaks[0] < 10 * 16 * 1024 and peaks[1] < 1.25 * peaks[0]
 
 
 def test_iterate_negative_needs_monomial_det(torus):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusbundles import (
+    PRUNE_REL,
     FactorOfAutomorphy,
     LaurentMatrix,
     LaurentPoly,
@@ -29,6 +31,7 @@ from helpers import (
     random_laurent_matrix,
     random_monomial_det_matrix,
     random_single_exponent_matrix,
+    reference_poly_terms,
 )
 
 
@@ -85,6 +88,77 @@ def test_poly_rejects_bad_input():
         LaurentPoly({0.5: 1.0})
     with pytest.raises(ValueError):
         LaurentPoly({0: complex("inf")})
+
+
+class _Pairs(Mapping):
+    """(exponent, coefficient) pairs read as a mapping, so an exponent
+    may repeat."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+    def __getitem__(self, k):
+        raise KeyError(k)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+_edge_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.5, 1e300, 1e308,
+                               math.inf, -math.inf, math.nan])
+_odd_values = st.sampled_from([True, 0, -3, np.float64(2.5), np.complex128(1 - 2j), "1+2j", "x", None,
+                               1e308 + 1e308j, complex(-0.0, -0.0)])
+_ctor_value = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_subnormal=True),
+    st.builds(complex, _edge_parts, _edge_parts),
+    _odd_values,
+)
+_ctor_key = st.one_of(
+    st.integers(-6, 6), st.integers(-6, 6).map(np.int64), st.booleans(),
+    st.sampled_from([0.0, 1.5, "1", None, np.uint8(3)]),
+)
+
+
+@st.composite
+def _ctor_input(draw):
+    """A dict for the constructor, or pairs with repeated exponents, with
+    sometimes one term at the PRUNE_REL boundary of the largest modulus."""
+    pairs = draw(st.lists(st.tuples(_ctor_key, _ctor_value), max_size=7))
+    finite = [abs(v) for _, v in pairs if type(v) is complex and math.isfinite(v.real) and math.isfinite(v.imag)]
+    if finite and max(finite) > 0 and draw(st.booleans()):
+        edge = PRUNE_REL * max(finite) * draw(st.sampled_from([1.0, 1 + 2 ** -52, 1 - 2 ** -53]))
+        pairs.append((draw(st.integers(-6, 6)), complex(edge, draw(st.sampled_from([0.0, -0.0])))))
+    return _Pairs(pairs) if draw(st.booleans()) else dict(pairs)
+
+
+def _outcome(build, coeffs):
+    """Exponents with their types, and coefficient bytes; or the error."""
+    try:
+        c = build(coeffs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(k, type(k)) for k in c], np.array(list(c.values()), dtype=complex).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ctor_input())
+@example({np.int64(2): 1.0, True: -0.0 + 1j, 0: complex(-1e-12, -0.0), -1: 1.0})
+@example({0: 1e308 + 1e308j})
+@example({0: 1.0, 1: 1e-12, 2: 1e-12 * (1 + 2 ** -52), 3: 5e-324})
+@example(_Pairs([(1, 1.0), (np.int64(1), -1.0), (2, 1e-13)]))
+@example(_Pairs([(1, 1.0), (1, 1e-3), (0, 2.0)]))
+@example(_Pairs([(1, 1.0), (1, -1.0), (0, 2.0)]))  # a repeated exponent that cancels
+@example({1: complex(math.nan, 0.0)})
+def test_constructor_matches_the_two_pass_reference(coeffs):
+    # items, their order and coefficient bytes, or the error type and text
+    assert _outcome(lambda d: LaurentPoly(d)._c, coeffs) == _outcome(reference_poly_terms, coeffs)
 
 
 def test_monomial_units():

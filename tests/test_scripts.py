@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("classification_sweep.py", ["--rmax", "3", "--dmax", "3"], "tau = (0.3+1.1j)   |q| = 0.000996"),
     ("theta_residuals.py", ["--samples", "2", "--terms", "5", "10"],
      "tau         xi                   terms=5      terms=10"),
+    # this checkout against itself
+    ("ab_rounds.py", [str(ROOT), "--blocks", "2"], "cocycle round of 21 tasks, seed 1, 2 blocks"),
 ])
 def test_script_runs_and_prints_its_header(script, args, header):
     env = dict(os.environ)
