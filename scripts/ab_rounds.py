@@ -49,9 +49,9 @@ def _load(name: str, path: Path, package: bool):
     return module
 
 
-def side_round(checkout: Path, name: str, workload: str, seed: int) -> list:
-    """The tasks of one round of ``workload``, built by the checkout's own
-    bench/workloads.py on the checkout's own package."""
+def load_side(checkout: Path, name: str):
+    """The checkout's package and its bench/workloads.py, imported as
+    ``tb_<name>`` and ``workloads_<name>``; bench/ is only read."""
     tb = _load(f"tb_{name}", checkout / "src" / "torusbundles", package=True)
     bench = str(checkout / "bench")
     # workloads imports its helpers as top-level checks and dense: take this checkout's
@@ -62,18 +62,31 @@ def side_round(checkout: Path, name: str, workload: str, seed: int) -> list:
         workloads = _load(f"workloads_{name}", checkout / "bench" / "workloads.py", package=False)
     finally:
         sys.path.remove(bench)
+    return tb, workloads
+
+
+def side_round(checkout: Path, name: str, workload: str, seed: int) -> list:
+    """The tasks of one round of ``workload``, built by the checkout's own
+    bench/workloads.py on the checkout's own package."""
+    tb, workloads = load_side(checkout, name)
     return getattr(workloads, ROUNDS[workload])(tb, np.random.default_rng(seed))
+
+
+def task_failure(task) -> str:
+    """"" when the task runs and passes its check, untimed, else why not,
+    in the words of bench/run.py."""
+    try:
+        task.check(task.run())
+    except AssertionError as exc:  # the check's verdict, checks.CheckFailed
+        return str(exc)
+    except Exception as exc:  # the program's own error, or a check that broke on its output
+        return f"{type(exc).__name__}: {exc}"
+    return ""
 
 
 def failures(tasks: list) -> int:
     """Tasks of one untimed round whose run or check fails."""
-    failed = 0
-    for task in tasks:
-        try:
-            task.check(task.run())
-        except Exception:  # a wrong output or the program's own error
-            failed += 1
-    return failed
+    return sum(1 for task in tasks if task_failure(task))
 
 
 def round_seconds(tasks: list) -> float:

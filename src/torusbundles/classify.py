@@ -119,19 +119,17 @@ def phi0(t: Torus) -> LaurentPoly:
 
 def normal_form_deg0(t: Torus, r: int, a: complex) -> FactorOfAutomorphy:
     """Degree zero indecomposable of rank r and parameter a: the constant
-    factor A_r(a)."""
-    if complex(a) == 0:
-        raise ValueError("param must be nonzero")
-    return FactorOfAutomorphy(t, jordan_factor_matrix(r, a))
+    factor A_r(a), which is normal_form(t, r, 0, a)."""
+    return normal_form(t, r, 0, a)
 
 
 def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMatrix]:
     """Validate (r, d, a) and split off h = gcd(r, d) (h = r when d = 0):
     returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h,
     which carries its det, the monomial (s^-d' a)^h u^(-d' h).  It is one
-    pruned array c A_h(a) + 0 at exponent -d', c = 0j + s^-d', bit for
-    bit the matrix A_h(a) scaled by the polynomial phi0^d'.  A power
-    s^-d' past the double range raises ValueError."""
+    exact, so unpruned, array c A_h(a) + 0 at exponent -d', c = 0j + s^-d',
+    bit for bit A_h(a) scaled by the polynomial phi0^d'.  A power s^-d'
+    or a coefficient past the double range raises ValueError."""
     r = _check_integer(r, "rank must be a positive integer", 1)
     d = _check_integer(d, "degree must be an integer")
     if complex(a) == 0:
@@ -141,7 +139,11 @@ def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMat
         c = 0j + t.s ** -(d // h)
     except ArithmeticError:  # s^d' underflows to 0, or s^-d' overflows
         raise ValueError(f"twist s^-d' is past the double range: d' = {d // h}, |s| = {abs(t.s):.6g}") from None
-    core = LaurentMatrix._from_coeffs(-(d // h), c * _jordan_block(h, a)[None] + 0)
+    # the exact product's entries c a, c and 0 are finite when c a and c are
+    ca = c * complex(a)
+    if not max(math.hypot(c.real, c.imag), math.hypot(ca.real, ca.imag)) < math.inf:
+        raise ValueError(f"non-finite coefficient in a {h} x {h} matrix")
+    core = LaurentMatrix._from_coeffs(-(d // h), c * _jordan_block(h, a)[None] + 0, prune=False)
     return r // h, core._carry_triangular_det()
 
 

@@ -52,7 +52,6 @@ from .classify import (
     degree,
     descriptor_to_json,
     normal_form,
-    normal_form_deg0,
     rank,
     recognize_deg0,
 )
@@ -128,11 +127,6 @@ def _table(obj, indent: str = "") -> str:
 def _cmd_normal_form(args) -> dict:
     t = Torus(parse_complex(args.tau))
     return factor_to_json(normal_form(t, args.rank, args.degree, parse_complex(args.param)))
-
-
-def _cmd_deg0_form(args) -> dict:
-    t = Torus(parse_complex(args.tau))
-    return factor_to_json(normal_form_deg0(t, args.rank, parse_complex(args.param)))
 
 
 def _cmd_tensor(args) -> dict:
@@ -257,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True)
     p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("-a", "--param", required=True)
-    p.set_defaults(func=_cmd_deg0_form)
+    p.set_defaults(func=_cmd_normal_form, degree=0)
 
     p = sub.add_parser("tensor", parents=[common], help="Kronecker product of two factors")
     p.add_argument("--left", required=True)

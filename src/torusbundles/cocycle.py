@@ -55,15 +55,11 @@ class FactorOfAutomorphy:
     """A torus together with the generator value A(u) of a factor.
 
     Construction runs the sampled invertibility check on A: det must be
-    nonzero and not degenerate along the unit circle.  When det A is
-    cached as a monomial c u^k, as normal forms, their Atiyah cores and
-    pushforward companions carry it from how they were built, the check
-    reads |c| and takes no determinant.  When each row of A holds one
-    exponent, as in block companions and their isogeny translates,
-    |det A| is constant on the circle and the check is det A(1), the
-    one elimination det() takes, which A keeps as its det.  This is a
-    necessary condition for A to define a bundle, not a proof; the
-    exact certificate is a monomial determinant.
+    nonzero and not degenerate along the unit circle.  It reads |c| of a
+    det c u^k that A carries from how it was built, as normal forms and
+    their companions do, or takes det A(1) when each row of A holds one
+    exponent.  This is a necessary condition for A to define a bundle,
+    not a proof; the exact certificate is a monomial determinant.
     """
 
     torus: Torus
@@ -116,7 +112,8 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     SAMPLE_BUDGET elements, and multiplied through in order.  Each power
     q^i is taken inside the stack's guard, and a translate that fails is
     raised after the product of those before it, so the first error is
-    the one a product of one substitution at a time meets first.
+    the one a product of one substitution at a time meets first.  A
+    product whose coefficients all underflow to 0 raises ValueError.
     """
     if not isinstance(m, (int, np.integer)):
         raise TypeError(f"m must be an integer, got {m!r}")
@@ -134,6 +131,8 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
             acc = t if acc is None else t @ acc
         if failure is not None:
             raise failure
+    if not len(acc._c):
+        raise ValueError(f"A(m, u) underflows to the zero matrix at m = {m}")
     return acc
 
 

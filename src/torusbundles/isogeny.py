@@ -67,7 +67,7 @@ def companion_block(a: LaurentMatrix, r: int) -> LaurentMatrix:
     For r = 1 this is just ``a``.  Else the identity diagonal and a are
     written into one zeroed (K, rn, rn) array, no pruning, which a window
     past SAMPLE_BUDGET refuses with ValueError before allocation.  When
-    det a is cached, the companion carries det = (-1)^((r-1) n) det a, so
+    a carries det a, the companion carries det = (-1)^((r-1) n) det a, so
     its invertibility check and det() take no determinant.
     """
     r = _check_integer(r, "need r >= 1", 1)

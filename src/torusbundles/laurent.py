@@ -7,11 +7,12 @@ package by matrix valued generators A(u); here we provide the coefficient
 ring those generators live in.
 
 Entries are Laurent polynomials in one variable u: exact integer
-exponents, double precision complex coefficients.  After every arithmetic
-operation coefficients smaller than ``PRUNE_REL`` times the largest one
-(taken over the whole matrix, for matrix operations; for a product of
-polynomials, times the coefficient of |a| * |b|) are dropped, so
-supports stay finite and exactly representable.
+exponents, double precision complex coefficients.  Sums, and matrices
+built from user rows, drop coefficients below ``PRUNE_REL`` times the
+largest of the matrix (a product of polynomials: times their own
+coefficient of |a| * |b|), so supports stay finite.  Exact results are
+never pruned: products by a monomial c u^k, substitutions u -> c u and
+assemblies.
 
 A scalar is a LaurentPoly, a dict from exponent to coefficient, built
 in one pass over its terms: _finite_terms checks each term and keeps
@@ -413,9 +414,9 @@ class LaurentMatrix:
     Stored as the lowest exponent ``lo`` and one complex array of shape
     (K, n, n) whose slice k holds the coefficients of u^(lo + k); the
     first and last slices are nonzero, and the zero matrix has K = 0.
-    Treated as immutable; all operations return new matrices.  Matrix
-    level operations prune coefficients relative to the largest
-    coefficient of the whole result, not entry by entry.
+    Treated as immutable; all operations return new matrices.  Sums, @
+    and kron prune relative to the largest coefficient of the whole
+    result, not entry by entry; exact results are not pruned.
     """
 
     __slots__ = ("_lo", "_c", "_det")
@@ -528,9 +529,10 @@ class LaurentMatrix:
         lo = min(self._lo, other._lo)
         hi = max(self._lo + len(self._c), other._lo + len(other._c))
         out = np.zeros((hi - lo, self.n, self.n), dtype=complex)
-        out[self._lo - lo:self._lo - lo + len(self._c)] += self._c
-        out[other._lo - lo:other._lo - lo + len(other._c)] += sign * other._c
-        return LaurentMatrix._from_coeffs(lo, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[self._lo - lo:self._lo - lo + len(self._c)] += self._c
+            out[other._lo - lo:other._lo - lo + len(other._c)] += sign * other._c
+            return LaurentMatrix._from_coeffs(lo, out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -553,24 +555,28 @@ class LaurentMatrix:
         if not len(a) or not len(b):
             return LaurentMatrix.zeros(self.n)
         out = np.zeros((len(a) + len(b) - 1, self.n, self.n), dtype=complex)
-        # one batched product per shift of the shorter factor
-        if len(a) <= len(b):
-            for i in range(len(a)):
-                out[i:i + len(b)] += a[i] @ b
-        else:
-            for j in range(len(b)):
-                out[j:j + len(a)] += a @ b[j]
-        return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one batched product per shift of the shorter factor
+            if len(a) <= len(b):
+                for i in range(len(a)):
+                    out[i:i + len(b)] += a[i] @ b
+            else:
+                for j in range(len(b)):
+                    out[j:j + len(a)] += a @ b[j]
+            return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
 
     def scaled(self, factor) -> "LaurentMatrix":
         """Multiply every entry by a scalar or a LaurentPoly."""
         mono = self._coerce(factor).is_monomial()
         if mono is None:
             return LaurentMatrix([[factor]]).kron(self)
-        # c u^k only shifts the exponents; adding 0 turns the signed zeros
-        # the product can leave into +0, as the sum in kron does
-        k, c = mono
-        return LaurentMatrix._from_coeffs(self._lo + k, c * self._c + 0)
+        # c u^k is exact, so no prune; adding 0 turns the signed zeros the
+        # product can leave into +0, as the sum in kron does
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mono[1] * self._c + 0
+            if not np.isfinite(np.abs(out)).all():
+                raise ValueError(f"non-finite coefficient in a {self.n} x {self.n} matrix")
+        return LaurentMatrix._from_coeffs(self._lo + mono[0], out, prune=False)
 
     def substitute_scaled(self, c: complex) -> "LaurentMatrix":
         """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k.
@@ -637,10 +643,11 @@ class LaurentMatrix:
         if not len(a) or not len(b):
             return LaurentMatrix.zeros(n * m)
         out = np.zeros((len(a) + len(b) - 1, n * m, n * m), dtype=complex)
-        for i in range(len(a)):
-            block = a[i][None, :, None, :, None] * b[:, None, :, None, :]
-            out[i:i + len(b)] += block.reshape(len(b), n * m, n * m)
-        return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(a)):
+                block = a[i][None, :, None, :, None] * b[:, None, :, None, :]
+                out[i:i + len(b)] += block.reshape(len(b), n * m, n * m)
+            return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
 
     def _check_size(self, other: "LaurentMatrix") -> None:
         if self.n != other.n:
@@ -689,33 +696,30 @@ class LaurentMatrix:
             return (np.fft.fft(vals, axis=0) / width)[(lo + np.arange(width)) % width]
 
     def det(self) -> LaurentPoly:
-        """Determinant as a LaurentPoly.
-
-        The support of det lies in the window between the sums of the
-        rows' lowest and highest exponents, and det is sampled on it,
-        one batched determinant for all samples.  It is identically zero
-        only when every sample is exactly 0.  A one point window takes
-        _one_point_det's elimination instead.
+        """Determinant as a LaurentPoly: the det the matrix carries from
+        how it was built, or, when each row holds one exponent,
+        _one_point_det's elimination, which the matrix keeps.  Else det
+        is sampled on the window between the sums of the rows' lowest and
+        highest exponents, one batched determinant for all samples, and
+        not kept; it is identically zero only when every sample is 0.
         """
-        if self._det is None and self._one_point_det() is None:
-            ext = self._row_extremes()
-            if ext is None:
-                self._det = LaurentPoly.zero()
-            else:
-                lo, hi = int(ext[0].sum()), int(ext[1].sum())
-                # non-finite samples are left to LaurentPoly to reject
-                coeffs = self._sampled(lo, hi, _sample_dets).tolist()
-                self._det = LaurentPoly(dict(zip(range(lo, hi + 1), coeffs)))
-        if self._det is None:
-            # a one point det of non-finite modulus is left uncached: this raises
-            _finite_terms(dict([self._one_point_det()]))
-        return self._det
+        point = self._det is None and self._one_point_det()
+        if self._det is not None:
+            return self._det
+        if point:  # an elimination whose modulus is past the double range is not kept
+            raise ValueError(f"non-finite coefficient {point[1]!r} at exponent {point[0]}")
+        ext = self._row_extremes()
+        if ext is None:
+            return LaurentPoly.zero()
+        lo, hi = int(ext[0].sum()), int(ext[1].sum())
+        # non-finite samples are left to LaurentPoly to reject
+        return LaurentPoly(dict(zip(range(lo, hi + 1), self._sampled(lo, hi, _sample_dets).tolist())))
 
     def _one_point_det(self) -> Optional[tuple[int, complex]]:
         """(sum e_i, det A(1)) when each row i holds one exponent e_i, so
         A(u) = diag(u^e_i) A(1), or is zero (at most n live (exponent,
-        row) pairs); else None.  Reads a cached det, or takes one
-        _pivot_det and caches det if its modulus is finite."""
+        row) pairs); else None.  Reads a carried det, or takes one
+        _pivot_det and keeps det if its modulus is finite."""
         c, n = self._c, self.n
         k = n * self._lo
         if len(c) > 1:
@@ -732,11 +736,11 @@ class LaurentMatrix:
         return k, det
 
     def _carry_triangular_det(self) -> "LaurentMatrix":
-        """Cache det on this matrix, built with one exponent lo and upper
+        """Carry det on this matrix, built with one exponent lo and upper
         triangular, and return it.  Elimination takes the diagonal as its
         pivots, in order and with no swap, so det is u^(n lo) times their
         product from 1 + 0j, the number det() takes.  A product whose
-        modulus is not finite is not cached, so det() and the
+        modulus is not finite is not carried, so det() and the
         invertibility check fail on it as they would without it.
         """
         pivots = self._c[0].diagonal().tolist() if len(self._c) else [0j]
@@ -746,14 +750,14 @@ class LaurentMatrix:
         return self
 
     def _carry_companion_det(self, a: "LaurentMatrix", r: int) -> "LaurentMatrix":
-        """Cache det on this matrix, companion_block(a, r), when det a is
-        cached, and return it: det = (-1)^((r-1) n) det a, n = a.n.  For
+        """Carry det on this matrix, companion_block(a, r), when a carries
+        det a, and return it: det = (-1)^((r-1) n) det a, n = a.n.  For
         a triangular a as above, elimination takes a's diagonal and then
         ones as pivots, with a sign change at each row swap; that differs
         from the sign times det a at most in the sign of a zero part,
         which + 0j stores as +0, so the det is det()'s bit for bit.  For
         other a it is det() up to rounding.  The terms of det a are
-        nonzero and pruned already, so they are stored unchecked.
+        nonzero and finite already, so they are stored unchecked.
         """
         if a._det is not None:
             sign = (-1) ** ((r - 1) * a.n)
@@ -768,10 +772,11 @@ class LaurentMatrix:
         sum(highs) - min(highs) - k]; the samples are inverted in one
         batch.
         """
-        mono = self.det().is_monomial()
+        det = self.det()
+        mono = det.is_monomial()
         if mono is None:
             raise NotInvertibleInRing(
-                f"det = {self.det()} is not a monomial, so the matrix has no inverse with Laurent entries"
+                f"det = {det} is not a monomial, so the matrix has no inverse with Laurent entries"
             )
         lows, highs = self._row_extremes()
         lo = int(lows.sum() - lows.max()) - mono[0]
@@ -889,9 +894,9 @@ def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
     inf or nan, without a numpy warning.
 
     |det| is constant on the circle, and the check is one number,
-    0 < |det A(1)| < inf ("|det A(1)| = 0"), when det is cached as a
-    monomial c u^k, as normal forms and their companions carry it, or
-    when each row holds one exponent, where it takes det()'s elimination.
+    0 < |det A(1)| < inf ("|det A(1)| = 0"), when mat carries det as a
+    monomial c u^k, as normal forms and their companions do, or when
+    each row holds one exponent, where it takes det()'s elimination.
     """
     point = (mat._det is not None and mat._det.is_monomial()) or mat._one_point_det()
     if point is not None:

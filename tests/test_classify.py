@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from torusbundles import (
     tensor,
 )
 from torusbundles.classify import _twisted_core
-from helpers import matrix_bytes, random_factor, winding_on_unit_circle
+from helpers import matrix_bytes, random_constant_invertible, random_factor, winding_on_unit_circle
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +225,8 @@ def _scaled_core(t, r, d, a):
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
 def test_twisted_core_is_the_scaled_jordan_factor_byte_for_byte(tau):
-    # a = 1e13 prunes the ones above the diagonal, 1e-5j keeps them.  On
-    # tau = i, where s^-d' is real, -1.3 gives dets with a -0 part, and
+    # a product by a monomial is exact, so a = 1e13 keeps the ones above
+    # the diagonal and 1e-5j keeps them too.  On tau = i, where s^-d' is real, -1.3 gives dets with a -0 part, and
     # -1.3 - 1e-320j products whose imaginary part underflows to -0;
     # both are stored as +0
     t = Torus(tau)
@@ -297,10 +298,12 @@ def test_integer_arguments_take_numpy_integers_and_refuse_bools(torus):
 
 
 def test_companion_carries_the_det_of_its_block(rng):
-    # a block whose det was taken before: the companion's det is
-    # (-1)^((r-1) n) det a, to rounding what the companion eliminates to
+    # a block with one exponent per row keeps the det its elimination
+    # took: the companion's det is (-1)^((r-1) n) det a, to rounding what
+    # the companion eliminates to
     for n, r in ((1, 2), (2, 3), (3, 2), (3, 3)):
-        a = random_factor(rng, Torus(1j), n).A
+        shifts = LaurentMatrix.diagonal([LaurentPoly.monomial(int(e)) for e in rng.integers(-2, 3, n)])
+        a = shifts @ LaurentMatrix.from_constant(random_constant_invertible(rng, n))
         a.det()
         out = companion_block(a, r)
         assert out._det is not None
@@ -308,8 +311,77 @@ def test_companion_carries_the_det_of_its_block(rng):
         fresh = LaurentMatrix._from_coeffs(out._lo, out._c.copy(), prune=False)
         assert fresh._det is None
         assert poly_close(out.det(), fresh.det(), 1e-12)
-    # a block without a det gives a companion without one
+    # a block without a det gives a companion without one, and a sampled
+    # det is not kept, so it gives none either
     assert companion_block(LaurentMatrix.identity(2), 3)._det is None
+    b = LaurentMatrix([[1, LaurentPoly({0: 1, 1: 2})], [0, 1]])
+    assert b.det() == 1 and b._det is None
+    assert companion_block(b, 3)._det is None
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
+def test_degree_zero_forms_are_one_construction(tau):
+    # normal_form_deg0 is normal_form at d = 0, which atiyah_construct
+    # pushes forward from a cover of degree one: one matrix, one det
+    t = Torus(tau)
+    for a in (0.6 + 0.2j, complex(-1.3, -0.0), 1e-13, 1e13):
+        for r in range(1, 17):
+            want = matrix_bytes(normal_form(t, r, 0, a).A)
+            assert want[3] is not None
+            assert matrix_bytes(atiyah_construct(t, r, 0, a).A) == want
+            assert matrix_bytes(normal_form_deg0(t, r, a).A) == want
+
+
+@pytest.mark.parametrize("a", [1e13, 1e-13])
+def test_extreme_parameters_keep_the_jordan_form(any_torus, a):
+    # c A_h(a) is an exact product, so neither the ones nor the diagonal
+    # a c fall to a prune against the other, and det has modulus |c a|^h
+    for r in range(1, 17):
+        for d in range(-8, 9):
+            h = math.gcd(r, abs(d)) if d else r
+            c = any_torus.s ** -(d // h)
+            core = _twisted_core(any_torus, r, d, a)[1]
+            assert core._c.shape == (1, h, h) and np.count_nonzero(core._c) == 2 * h - 1
+            [(k, det)] = core._det.terms()
+            assert k == -(d // h) * h and math.isclose(abs(det), abs(c * a) ** h, rel_tol=1e-12)
+            f = normal_form(any_torus, r, d, a)
+            assert math.isclose(abs(f.A._det.is_monomial()[1]), abs(det), rel_tol=1e-12)
+
+
+def test_large_degree_zero_parameter_is_one_jordan_block(any_torus):
+    # 1e13 I + N: a prune against 1e13 would drop N, a decomposable bundle
+    for r in range(1, 9):
+        desc = recognize_deg0(normal_form(any_torus, r, 0, 1e13))
+        assert desc is not None and (desc.rank, desc.degree) == (r, 0)
+
+
+def test_small_degree_zero_parameter_builds(torus):
+    # |q^5| = 2.3e-14: a prune against the ones would drop the diagonal, and det
+    f = normal_form(torus, 3, 0, torus.q ** 5)
+    assert np.count_nonzero(f.A._c) == 5 and degree(f) == 0
+    assert recognize_deg0(f).rank == 3
+
+
+def test_exact_products_past_the_double_range_raise_without_a_warning():
+    # on tau = 5i, s^-45 = 1e307, and times 100 it overflows
+    t = Torus(5j)
+    for build in (
+        lambda: normal_form(t, 1, 45, 100),
+        lambda: atiyah_construct(t, 1, 45, 100),
+        lambda: LaurentMatrix([[1e200]]).scaled(1e200),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                build()
+        assert str(exc.value) == "non-finite coefficient in a 1 x 1 matrix"
+
+
+def test_bad_rank_of_a_degree_zero_form_reads_as_normal_forms():
+    for r in (0, True, 2.0):
+        with pytest.raises(ValueError) as exc:
+            normal_form_deg0(Torus(1j), r, 0.5)
+        assert str(exc.value) == f"rank must be a positive integer, got {r!r}"
 
 
 # ---------------------------------------------------------------------------

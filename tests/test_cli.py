@@ -516,6 +516,13 @@ def test_overflow_prints_no_numpy_warning(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "ValueError: non-finite coefficient in a 1 x 1 matrix\n")
 
 
+def test_iterate_that_underflows_is_a_one_line_error(capsys, monkeypatch):
+    # A(101, u) of this normal form has coefficients near |q|^5050, below the double range
+    _, factor, _ = run(capsys, monkeypatch, ["normal-form", "--tau", "0+1i", "-r", "3", "-d", "-2", "-a", "0.6+0.2i"])
+    code, out, err = run(capsys, monkeypatch, ["iterate", "-m", "101"], stdin=factor)
+    assert (code, out, err) == (1, "", "ValueError: A(m, u) underflows to the zero matrix at m = 101\n")
+
+
 def test_failed_invertibility_check_reports_the_dets_it_took(capsys, monkeypatch):
     # the Laurent det of the overflowing generators has non-finite
     # coefficients, so the message gives the determinants the check took;

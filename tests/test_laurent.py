@@ -131,7 +131,9 @@ def _ctor_input(draw):
     """A dict for the constructor, or pairs with repeated exponents, with
     sometimes one term at the PRUNE_REL boundary of the largest modulus."""
     pairs = draw(st.lists(st.tuples(_ctor_key, _ctor_value), max_size=7))
-    finite = [abs(v) for _, v in pairs if type(v) is complex and math.isfinite(v.real) and math.isfinite(v.imag)]
+    # math.hypot, as abs(1e308+1e308j) raises OverflowError
+    moduli = [math.hypot(v.real, v.imag) for _, v in pairs if type(v) is complex]
+    finite = [m for m in moduli if math.isfinite(m)]
     if finite and max(finite) > 0 and draw(st.booleans()):
         edge = PRUNE_REL * max(finite) * draw(st.sampled_from([1.0, 1 + 2 ** -52, 1 - 2 ** -53]))
         pairs.append((draw(st.integers(-6, 6)), complex(edge, draw(st.sampled_from([0.0, -0.0])))))
@@ -309,6 +311,48 @@ def test_inverse_requires_monomial_det():
     m = LaurentMatrix([[LaurentPoly({0: 1, 1: 1}), 0], [0, 1]])
     with pytest.raises(NotInvertibleInRing):
         m.inverse_monomial_det()
+
+
+def test_one_exponent_det_past_the_double_range_raises():
+    m = LaurentMatrix.diagonal([1e200, 1e200])
+    for _ in range(2):  # the det is not kept, so a second call raises too
+        with pytest.raises(ValueError) as exc:
+            m.det()
+        assert str(exc.value) == "non-finite coefficient (inf+0j) at exponent 0"
+    assert m._det is None
+
+
+def test_zero_row_gives_the_zero_det():
+    # three exponents in the other row: no one-point elimination
+    m = LaurentMatrix([[0, 0], [LaurentPoly({-1: 1, 0: 2, 1: 3}), 1]])
+    assert m._one_point_det() is None
+    assert m.det().is_zero and m._det is None
+
+
+def test_sampled_det_is_not_kept(rng):
+    m = random_laurent_matrix(rng, 3)
+    d = m.det()
+    assert m._det is None and m.det() == d
+    one = LaurentMatrix.diagonal([LaurentPoly.monomial(1, 2.0), LaurentPoly.monomial(-3, 0.5)])
+    assert one.det() == LaurentPoly.monomial(-2, 1.0) and one._det is one.det()
+
+
+_HUGE = LaurentMatrix([[1.5e308, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("op", [
+    lambda: _HUGE @ _HUGE,
+    lambda: _HUGE.kron(_HUGE),
+    lambda: _HUGE + _HUGE,
+    lambda: _HUGE - (-_HUGE),
+    lambda: _HUGE.scaled(LaurentPoly.monomial(2, 10.0)),
+    lambda: _HUGE.scaled(LaurentPoly({0: 10.0, 1: 1.0})),
+], ids=["matmul", "kron", "add", "sub", "scaled monomial", "scaled poly"])
+def test_overflowing_arithmetic_raises_without_a_numpy_warning(op):
+    # the suite turns RuntimeWarning into an error, so a warning would come first
+    with pytest.raises(ValueError) as exc:
+        op()
+    assert re.fullmatch(r"non-finite coefficient in a \d x \d matrix", str(exc.value))
 
 
 def test_inverse_interpolation_path(rng):

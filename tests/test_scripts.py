@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
      "tau         xi                   terms=5      terms=10"),
     # this checkout against itself
     ("ab_rounds.py", [str(ROOT), "--blocks", "2"], "cocycle round of 21 tasks, seed 1, 2 blocks"),
+    ("seed_sweep.py", ["--workload", "classify", "--seeds", "0:2"], "classify rounds of seeds 0:2"),
 ])
 def test_script_runs_and_prints_its_header(script, args, header):
     env = dict(os.environ)
