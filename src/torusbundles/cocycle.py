@@ -28,7 +28,9 @@ from .laurent import (
     SAMPLE_BUDGET,
     Torus,
     _invertibility_failure,
+    _product,
     _require_same_torus,
+    _trimmed,
     matrices_close,
     matrix_from_json,
     matrix_to_json,
@@ -109,31 +111,43 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     NotInvertibleInRing otherwise.
 
     The translates are taken as one stack, in chunks of at most
-    SAMPLE_BUDGET elements, and multiplied through in order.  Each power
-    q^i is taken inside the stack's guard, and a translate that fails is
-    raised after the product of those before it, so the first error is
-    the one a product of one substitution at a time meets first.  A
-    product whose coefficients all underflow to 0 raises ValueError.
+    SAMPLE_BUDGET elements, and multiplied through in order by the
+    coefficient arrays, with the kernel and the trimmed windows of @,
+    so the result is that of the product one @ at a time, byte for
+    byte, and nothing is pruned.  All products run under one
+    np.errstate, and one matrix is built at the end.  Each power q^i is
+    taken inside the stack's guard, and a translate that fails is raised
+    after the product of those before it, so the first error is the one
+    a product of one substitution at a time meets first.  A product
+    whose coefficients all underflow to 0 raises ValueError.
     """
     if not isinstance(m, (int, np.integer)):
         raise TypeError(f"m must be an integer, got {m!r}")
     q = f.torus.q
     if m == 0:
         return LaurentMatrix.identity(f.A.n)
+    if m == 1:
+        return f.A
     if m > 0:
-        base, acc, powers = f.A, f.A, range(1, m)
+        base, powers = f.A, range(1, m)
+        lo, acc = base._lo, base._c
     else:
-        base, acc, powers = f.A.inverse_monomial_det(), None, range(-1, m - 1, -1)
+        base, powers = f.A.inverse_monomial_det(), range(-1, m - 1, -1)
+        lo, acc = 0, None
     chunk = max(1, SAMPLE_BUDGET // base._c.size)
-    for start in range(0, len(powers), chunk):
-        translates, failure = base._translates(q ** i for i in powers[start:start + chunk])
-        for t in translates:
-            acc = t if acc is None else t @ acc
-        if failure is not None:
-            raise failure
-    if not len(acc._c):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(powers), chunk):
+            stack, failure = base._translate_stack(q ** i for i in powers[start:start + chunk])
+            for t in stack:
+                if acc is None:
+                    lo, acc = _trimmed(base._lo, t)
+                else:
+                    lo, acc = _trimmed(lo + base._lo, _product(t, acc))
+            if failure is not None:
+                raise failure
+    if not len(acc):
         raise ValueError(f"A(m, u) underflows to the zero matrix at m = {m}")
-    return acc
+    return LaurentMatrix._from_coeffs(lo, acc, prune=False)
 
 
 def check_witness(f: FactorOfAutomorphy, g: FactorOfAutomorphy, w: EquivalenceWitness) -> bool:

@@ -7,23 +7,27 @@ package by matrix valued generators A(u); here we provide the coefficient
 ring those generators live in.
 
 Entries are Laurent polynomials in one variable u: exact integer
-exponents, double precision complex coefficients.  Sums, and matrices
-built from user rows, drop coefficients below ``PRUNE_REL`` times the
-largest of the matrix (a product of polynomials: times their own
-coefficient of |a| * |b|), so supports stay finite.  Exact results are
-never pruned: products by a monomial c u^k, substitutions u -> c u and
-assemblies.
+exponents, double precision complex coefficients.  Sums, sampled
+results and matrices built from user rows drop coefficients below
+``PRUNE_REL`` times the largest of the matrix (a product of two
+polynomials: times their own coefficient of |a| * |b|), so supports stay
+finite.  Matrix products (@, kron) are never pruned: their small
+coefficients at high or low exponents dominate off the unit circle.
+Nor are exact results: products by a monomial c u^k, substitutions
+u -> c u and assemblies.
 
 A scalar is a LaurentPoly, a dict from exponent to coefficient, built
 in one pass over its terms: _finite_terms checks each term and keeps
 the smallest and largest modulus, and the prune runs only when the
 smallest is at most PRUNE_REL times the largest.  A LaurentMatrix is
 its lowest exponent plus one dense complex array of shape (K, n, n),
-coefficient slices of consecutive exponents: products loop over the K
-shifts of a batched matrix product, and substitution u -> c u
-multiplies by the weights c^k, for several scales c in one broadcast.
-iterate takes all its translates A(q^i u) as such a stack, with each
-power q^i taken inside the stack's guard.
+coefficient slices of consecutive exponents.  A product is one kernel,
+_product: one GEMM for every pair of slices, added along the sum of
+their exponents, and one test that every modulus is finite.
+Substitution u -> c u multiplies by the weights c^k, for several scales
+c in one broadcast.  iterate takes all its translates A(q^i u) as such a
+stack, with each power q^i taken inside the stack's guard, and
+multiplies them through _product on the coefficient arrays.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -414,9 +418,9 @@ class LaurentMatrix:
     Stored as the lowest exponent ``lo`` and one complex array of shape
     (K, n, n) whose slice k holds the coefficients of u^(lo + k); the
     first and last slices are nonzero, and the zero matrix has K = 0.
-    Treated as immutable; all operations return new matrices.  Sums, @
-    and kron prune relative to the largest coefficient of the whole
-    result, not entry by entry; exact results are not pruned.
+    Treated as immutable; all operations return new matrices.  Sums
+    prune relative to the largest coefficient of the whole result, not
+    entry by entry; products (@, kron) and exact results are not pruned.
     """
 
     __slots__ = ("_lo", "_c", "_det")
@@ -443,25 +447,14 @@ class LaurentMatrix:
 
     def _set(self, lo: int, c: np.ndarray, prune: bool) -> None:
         """Store sum_k c[k] u^(lo + k), pruned against the largest
-        coefficient when ``prune``, zero end slices trimmed; a nonzero
-        single slice takes one np.count_nonzero and no trim."""
-        n = c.shape[1]
+        coefficient when ``prune``, with _trimmed's window."""
         if prune and c.size:
             mag = np.abs(c)
             top = float(mag.max())
             if not math.isfinite(top):
-                raise ValueError(f"non-finite coefficient in a {n} x {n} matrix")
+                raise ValueError(f"non-finite coefficient in a {c.shape[1]} x {c.shape[1]} matrix")
             c = np.where(mag > PRUNE_REL * top, c, 0)
-        if len(c) != 1 or not np.count_nonzero(c):
-            live = c.reshape(len(c), n * n).any(axis=1).nonzero()[0]
-            if live.size == 0:
-                lo, c = 0, c[:0]
-            else:
-                first, last = int(live[0]), int(live[-1])
-                if first or last < len(c) - 1:
-                    lo, c = lo + first, c[first:last + 1]
-        self._lo = lo
-        self._c = c
+        self._lo, self._c = _trimmed(lo, c)
         self._det: Optional[LaurentPoly] = None
 
     @classmethod
@@ -551,19 +544,9 @@ class LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         self._check_size(other)
-        a, b = self._c, other._c
-        if not len(a) or not len(b):
-            return LaurentMatrix.zeros(self.n)
-        out = np.zeros((len(a) + len(b) - 1, self.n, self.n), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            # one batched product per shift of the shorter factor
-            if len(a) <= len(b):
-                for i in range(len(a)):
-                    out[i:i + len(b)] += a[i] @ b
-            else:
-                for j in range(len(b)):
-                    out[j:j + len(a)] += a @ b[j]
-            return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
+            out = _product(self._c, other._c)
+        return LaurentMatrix._from_coeffs(self._lo + other._lo, out, prune=False)
 
     def scaled(self, factor) -> "LaurentMatrix":
         """Multiply every entry by a scalar or a LaurentPoly."""
@@ -574,8 +557,7 @@ class LaurentMatrix:
         # product can leave into +0, as the sum in kron does
         with np.errstate(over="ignore", invalid="ignore"):
             out = mono[1] * self._c + 0
-            if not np.isfinite(np.abs(out)).all():
-                raise ValueError(f"non-finite coefficient in a {self.n} x {self.n} matrix")
+            _check_moduli(out)
         return LaurentMatrix._from_coeffs(self._lo + mono[0], out, prune=False)
 
     def substitute_scaled(self, c: complex) -> "LaurentMatrix":
@@ -586,20 +568,27 @@ class LaurentMatrix:
         range, or ZeroDivisionError when c^-k underflows to 0; a
         coefficient that overflows in the product raises ValueError.
         """
-        translates, failure = self._translates([c])
+        stack, failure = self._translate_stack([c])
         if failure is not None:
             raise failure
-        return translates[0]
+        return LaurentMatrix._from_coeffs(self._lo, stack[0], prune=False)
 
     def _translates(self, scales: Iterable[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
-        """The matrices self(c u) for the scales c in order, as views of
-        one (count, K, n, n) stack: one broadcast multiply by the weights
-        c^k and one finiteness test.  ``scales`` is read one scale at a
-        time inside the guard, so a lazy iterable of powers q^i has each
-        power taken there.  Stops at the first scale that fails, whether
-        its power, a weight or the product, as substitute_scaled
-        describes, and returns the translates before it with that error,
-        or None."""
+        """The matrices self(c u) of _translate_stack, as views of its
+        stack, with its error or None."""
+        stack, failure = self._translate_stack(scales)
+        return [LaurentMatrix._from_coeffs(self._lo, t, prune=False) for t in stack], failure
+
+    def _translate_stack(self, scales: Iterable[complex]) -> tuple[np.ndarray, Optional[Exception]]:
+        """The coefficient arrays of self(c u) for the scales c in order,
+        as one (count, K, n, n) stack from one broadcast multiply by the
+        weights c^k, with the lowest exponent of self.  ``scales`` is read
+        one scale at a time inside the guard, so a lazy iterable of powers
+        q^i has each power taken there.  Stops at the first scale that
+        fails, whether its power, a weight or the product, as
+        substitute_scaled describes, and returns the translates before it
+        with that error, or None.  The moduli are tested in
+        _check_moduli's two steps, the second one translate by one."""
         lo, width = self._lo, len(self._c)
         taken, weights, failure = [], [], None
         try:
@@ -617,16 +606,13 @@ class LaurentMatrix:
             # operands' strides, and this way each element takes the loop,
             # and gets the bytes, of the one-scale product _c * w[:, None, None]
             out = self._c[None] * np.array(weights, dtype=complex).reshape(len(taken), width, 1, 1)
-            # a finite sum means finite terms; only an overflowed or
-            # invalid sum needs the test term by term
-            suspect = not cmath.isfinite(out.sum())
-        if suspect:
-            finite = np.isfinite(out).all(axis=(1, 2, 3))
-            if not finite.all():
-                j = int(finite.argmin())
-                failure = ValueError(f"non-finite coefficient after substituting u -> {taken[j]} u")
-                out = out[:j]
-        return [LaurentMatrix._from_coeffs(lo, out[i], prune=False) for i in range(len(out))], failure
+            if not math.isfinite(np.vdot(out, out).real):
+                finite = np.isfinite(np.abs(out)).all(axis=(1, 2, 3))
+                if not finite.all():
+                    j = int(finite.argmin())
+                    failure = ValueError(f"non-finite coefficient after substituting u -> {taken[j]} u")
+                    out = out[:j]
+        return out, failure
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1), prune=False)
@@ -647,7 +633,8 @@ class LaurentMatrix:
             for i in range(len(a)):
                 block = a[i][None, :, None, :, None] * b[:, None, :, None, :]
                 out[i:i + len(b)] += block.reshape(len(b), n * m, n * m)
-            return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
+            _check_moduli(out)
+        return LaurentMatrix._from_coeffs(self._lo + other._lo, out, prune=False)
 
     def _check_size(self, other: "LaurentMatrix") -> None:
         if self.n != other.n:
@@ -800,6 +787,55 @@ def _check_budget(what: str, width: int, per_point: int) -> None:
             f"{what} window of width {width} needs {need} elements, "
             f"more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
         )
+
+
+def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
+    """The lowest exponent and the coefficient array of sum_k c[k]
+    u^(lo + k) with its zero end slices cut off; the zero matrix has
+    lowest exponent 0 and no slice.  Nonzero end slices take one
+    np.count_nonzero each, and c is returned as it is."""
+    k = len(c)
+    if k == 1 and np.count_nonzero(c) or k > 1 and np.count_nonzero(c[0]) and np.count_nonzero(c[-1]):
+        return lo, c
+    live = c.reshape(k, c.shape[1] ** 2).any(axis=1).nonzero()[0]
+    if live.size == 0:
+        return 0, c[:0]
+    first, last = int(live[0]), int(live[-1])
+    return lo + first, c[first:last + 1]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of the matrices with coefficient
+    arrays a, (Ka, n, n), and b, (Kb, n, n), whose lowest exponents add:
+    shape (Ka + Kb - 1, n, n), or (0, n, n) when either is zero.  Every
+    slice product a[i] @ b[j] comes from one GEMM, and they are added
+    along i + j, one slice add per slice of the shorter factor; nothing
+    is pruned, and the result is checked with _check_moduli.  Run under
+    np.errstate(over="ignore", invalid="ignore")."""
+    ka, n, _ = a.shape
+    kb = len(b)
+    if not ka or not kb:
+        return np.zeros((0, n, n), dtype=complex)
+    prod = (a.reshape(ka * n, n) @ b.transpose(1, 0, 2).reshape(n, kb * n)).reshape(ka, n, kb, n)
+    out = np.zeros((ka + kb - 1, n, n), dtype=complex)
+    if ka <= kb:
+        for i in range(ka):
+            out[i:i + kb] += prod[i].transpose(1, 0, 2)
+    else:
+        for j in range(kb):
+            out[j:j + ka] += prod[:, :, j]
+    _check_moduli(out)
+    return out
+
+
+def _check_moduli(c: np.ndarray) -> None:
+    """Raise ValueError unless every coefficient of the (K, n, n) array
+    c has a finite modulus.  np.vdot(c, c) sums the squared moduli, which
+    is finite unless a coefficient is inf or nan or has a modulus past
+    about 1e154; only then are the moduli taken one by one.  Run under
+    np.errstate(over="ignore", invalid="ignore")."""
+    if not math.isfinite(np.vdot(c, c).real) and not np.isfinite(np.abs(c)).all():
+        raise ValueError(f"non-finite coefficient in a {c.shape[1]} x {c.shape[1]} matrix")
 
 
 def _pivot_det(m: list[list[complex]]) -> complex:

@@ -516,6 +516,14 @@ def test_overflow_prints_no_numpy_warning(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "ValueError: non-finite coefficient in a 1 x 1 matrix\n")
 
 
+def test_iterate_keeps_the_small_entries_of_a_widely_scaled_product(capsys, monkeypatch):
+    # A(3, u) has one term in each of 4 entries, from 1 to 2.7e20
+    _, factor, _ = run(capsys, monkeypatch, ["normal-form", "--tau", "0+1i", "-r", "4", "-d", "3", "-a", "0.94"])
+    code, out, _ = run(capsys, monkeypatch, ["iterate", "-m", "3"], stdin=factor)
+    assert code == 0
+    assert sum(1 for terms in json.loads(out)["A"]["entries"] if terms) == 4
+
+
 def test_iterate_that_underflows_is_a_one_line_error(capsys, monkeypatch):
     # A(101, u) of this normal form has coefficients near |q|^5050, below the double range
     _, factor, _ = run(capsys, monkeypatch, ["normal-form", "--tau", "0+1i", "-r", "3", "-d", "-2", "-a", "0.6+0.2i"])

@@ -172,14 +172,14 @@ def test_long_iterate_takes_its_translates_in_bounded_stacks(monkeypatch, m):
 
     f = FactorOfAutomorphy(Torus(0.001j), LaurentMatrix([[1, LaurentPoly.monomial(1)], [0, 1]]))
     want = iterate(f, m)
-    stacks, translates = [], LaurentMatrix._translates
+    stacks, translate_stack = [], LaurentMatrix._translate_stack
 
     def spy(mat, scales):
-        out = translates(mat, scales)
-        stacks.append(sum(t._c.size for t in out[0]))
+        out = translate_stack(mat, scales)
+        stacks.append(out[0].size)
         return out
 
-    monkeypatch.setattr(LaurentMatrix, "_translates", spy)
+    monkeypatch.setattr(LaurentMatrix, "_translate_stack", spy)
     monkeypatch.setattr(cocycle, "SAMPLE_BUDGET", 1024)
     peaks = []
     for k in (m, 2 * m):
@@ -215,14 +215,59 @@ def test_cocycle_law(any_torus, rng):
                 assert matrices_close(lhs, rhs, 1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: matmul prunes each coefficient "
-                   "against the largest one of the whole product")
 def test_iterate_keeps_every_entry_of_a_widely_scaled_product():
     # A(q^2 u) A(q u) A(u) of this normal form has 4 nonzero entries,
     # one term each, from 1 to 2.7e20; pruning each product at 1e-12 of
-    # its largest coefficient leaves 2 of them
+    # its largest coefficient would leave 2 of them
     m = iterate(normal_form(Torus(1j), 4, 3, 0.94), 3)
     assert np.count_nonzero(m._c.any(axis=0)) == 4
+
+
+def _exponent_pattern(n, lo, hi):
+    # the ends of the support first, then inward, so every rank reaches both ends
+    order, a, b = [], lo, hi
+    while a <= b:
+        order += [a] if a == b else [a, b]
+        a, b = a + 1, b - 1
+    return [order[k % len(order)] for k in range(n)]
+
+
+def _off_circle_factors():
+    """28 factors S diag(c_k u^e_k) T: n = 2..8, supports [-1, 1] and
+    [-2, 2], on tau = i and tau = 0.3 + 1.1i, as coefficient arrays."""
+    rng = np.random.default_rng(7)
+    out = []
+    for tau in (1j, 0.3 + 1.1j):
+        for n in range(2, 9):
+            for w in (1, 2):
+                s, t = random_constant_invertible(rng, n), random_constant_invertible(rng, n)
+                c = rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+                arr = np.zeros((2 * w + 1, n, n), dtype=complex)
+                for k, e in enumerate(_exponent_pattern(n, -w, w)):
+                    arr[e + w] += np.outer(s[:, k] * c[k], t[k, :])
+                out.append((Torus(tau), -w, arr))
+    return out
+
+
+def test_iterates_match_the_product_of_evaluated_factors_off_the_unit_circle():
+    # the high exponents of A(m, u) are small but dominate for |u| > 1,
+    # so a prune against the largest coefficient is wrong there by order 1
+    for torus, lo, arr in _off_circle_factors():
+        q = torus.q
+        f = FactorOfAutomorphy(torus, LaurentMatrix._from_coeffs(lo, arr.copy(), prune=False))
+        for m in (3, 5, 8):
+            got = iterate(f, m)
+            for j in range(4):
+                for theta in (0.1234, 0.4321, 0.777):
+                    u = abs(q) ** -j * np.exp(2j * np.pi * theta)
+                    want = np.eye(arr.shape[1])
+                    for i in range(m):
+                        v = q ** i * u
+                        want = np.tensordot(v ** np.arange(lo, lo + len(arr)), arr, axes=1) @ want
+                    # scaled first: the squared moduli pass the double range at j = 3
+                    scale = np.abs(want).max()
+                    err = np.linalg.norm((got.eval_at(u) - want) / scale) / np.linalg.norm(want / scale)
+                    assert err <= 1e-9, (torus.tau, arr.shape[1], len(arr), m, j, err)
 
 
 def test_iterate_rejects_non_integer(torus, rng):

@@ -248,6 +248,18 @@ def test_tensor_determinant_identity(torus, rng):
     assert (lhs - rhs).max_coeff() <= 1e-8 * rhs.max_coeff()
 
 
+def test_tensor_of_normal_forms_keeps_its_small_entries():
+    # E(5, -6) spans 6e-10 of its largest coefficient and E(3, 2) 1e-3, so
+    # their kron holds coefficients near 7e-13 of its largest; a prune at
+    # 1e-12 drops them, and the check reads |det A(1)| = 0.  Atiyah: rank
+    # 15 and degree 3 * (-6) + 5 * 2
+    from torusbundles import Torus, degree, normal_form
+
+    t = Torus(0.3 + 1.1j)
+    g = tensor(normal_form(t, 5, -6, 0.6 + 0.2j), normal_form(t, 3, 2, 0.9 - 0.1j))
+    assert (g.rank, degree(g)) == (15, -8)
+
+
 def test_tensor_requires_same_torus(rng):
     from torusbundles import Torus
 

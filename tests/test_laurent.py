@@ -355,6 +355,37 @@ def test_overflowing_arithmetic_raises_without_a_numpy_warning(op):
     assert re.fullmatch(r"non-finite coefficient in a \d x \d matrix", str(exc.value))
 
 
+_BIG, _SKEW = LaurentMatrix([[1e200]]), LaurentMatrix([[1.5e108 + 1.5e108j]])
+
+
+@pytest.mark.parametrize("op", [lambda: _BIG @ _SKEW, lambda: _BIG.kron(_SKEW)], ids=["matmul", "kron"])
+def test_a_product_with_finite_parts_and_an_infinite_modulus_raises(op):
+    # the product 1.5e308 + 1.5e308j has finite parts, and so a finite sum;
+    # the suite turns RuntimeWarning into an error, so a warning would come first
+    with pytest.raises(ValueError) as exc:
+        op()
+    assert str(exc.value) == "non-finite coefficient in a 1 x 1 matrix"
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a @ b, lambda a, b: a.kron(b)], ids=["matmul", "kron"])
+def test_a_product_whose_squared_moduli_overflow_is_kept(op):
+    # the squared modulus 1e320 is past the double range, the modulus is not
+    got = op(LaurentMatrix([[1e150]]), LaurentMatrix([[1e10]]))
+    assert got.entry(0, 0).terms() == [(0, 1e160 + 0j)]
+
+
+def test_substitution_to_a_finite_part_and_an_infinite_modulus_raises():
+    m = LaurentMatrix([[LaurentPoly({1: 1e200})]])
+    text = "non-finite coefficient after substituting u -> (1.5e+108+1.5e+108j) u"
+    with pytest.raises(ValueError) as exc:
+        m.substitute_scaled(1.5e108 * (1 + 1j))
+    assert str(exc.value) == text
+    translates, failure = m._translates([1, 1.5e108 * (1 + 1j)])
+    assert len(translates) == 1 and str(failure) == text
+    # a modulus near 1e160, whose square is past the double range, is kept
+    assert m.substitute_scaled(1e-40 + 1e-40j).max_coeff() == pytest.approx(math.sqrt(2) * 1e160)
+
+
 def test_inverse_interpolation_path(rng):
     a = random_monomial_det_matrix(rng, 3, -1, 1)
     b = random_monomial_det_matrix(rng, 3, -1, 1)
