@@ -186,8 +186,9 @@ def degree(f: FactorOfAutomorphy) -> int:
     mono = det.is_monomial()
     if mono is not None:
         return -mono[0]
-    lo, dense = det._dense()
-    roots = np.roots(dense[::-1])
+    coeffs = dict(det.terms())
+    lo = min(coeffs)
+    roots = np.roots([coeffs.get(k, 0j) for k in range(max(coeffs), lo - 1, -1)])
     bad = [z for z in roots if 1e-6 <= abs(z) <= 1e6]
     if bad:
         raise DetVanishesOnCstar(

@@ -69,13 +69,17 @@ def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
 
 def wedge_power(f: FactorOfAutomorphy, k: int) -> FactorOfAutomorphy:
     """Compound matrix of k x k minors, index sets in lexicographic order;
-    the minors of all samples of A are taken in one batch."""
+    the minors of all samples of A are taken in one batch.  The index
+    sets are listed only once the sampling budget has passed them."""
     n = f.A.n
     if not 0 <= k <= n:
         raise ValueError(f"wedge power needs 0 <= k <= {n}, got {k}")
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=int)
-    rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
-    return _sampled_functor(f, k, lambda samples: _sample_dets(samples[:, rows, cols]), (len(subsets) * k) ** 2)
+
+    def apply(samples):
+        subsets = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+        return _sample_dets(samples[:, subsets[:, None, :, None], subsets[None, :, None, :]])
+
+    return _sampled_functor(f, k, apply, (math.comb(n, k) * k) ** 2)
 
 
 def _sampled_functor(f: FactorOfAutomorphy, degree: int, apply, size: int) -> FactorOfAutomorphy:

@@ -104,8 +104,8 @@ def roundtrip_diag(ctx: IsogenyContext, f: FactorOfAutomorphy) -> list[FactorOfA
     """
     _require_same_torus(f.torus, ctx.cover)
     q = ctx.base.q
-    translates, failure = f.A._translates([q ** i for i in range(ctx.r)])
-    blocks = [FactorOfAutomorphy(ctx.cover, a) for a in translates]
+    stack, failure = f.A._translate_stack([q ** i for i in range(ctx.r)])
+    blocks = [FactorOfAutomorphy(ctx.cover, LaurentMatrix._from_coeffs(f.A._lo, a, prune=False)) for a in stack]
     if failure is not None:
         raise failure
     return blocks

@@ -9,25 +9,25 @@ ring those generators live in.
 Entries are Laurent polynomials in one variable u: exact integer
 exponents, double precision complex coefficients.  Sums, sampled
 results and matrices built from user rows drop coefficients below
-``PRUNE_REL`` times the largest of the matrix (a product of two
-polynomials: times their own coefficient of |a| * |b|), so supports stay
-finite.  Matrix products (@, kron) are never pruned: their small
-coefficients at high or low exponents dominate off the unit circle.
-Nor are exact results: products by a monomial c u^k, substitutions
-u -> c u and assemblies.
+``PRUNE_REL`` times the largest of the matrix, so supports stay finite.
+Products (@, kron) are never pruned: their small coefficients at high
+or low exponents dominate off the unit circle.  Nor are exact results:
+products by a monomial c u^k, substitutions u -> c u and assemblies.
 
 A scalar is a LaurentPoly, a dict from exponent to coefficient, built
 in one pass over its terms: _finite_terms checks each term and keeps
 the smallest and largest modulus, and the prune runs only when the
-smallest is at most PRUNE_REL times the largest.  A LaurentMatrix is
-its lowest exponent plus one dense complex array of shape (K, n, n),
-coefficient slices of consecutive exponents.  A product is one kernel,
-_product: one GEMM for every pair of slices, added along the sum of
-their exponents, and one test that every modulus is finite.
-Substitution u -> c u multiplies by the weights c^k, for several scales
-c in one broadcast.  iterate takes all its translates A(q^i u) as such a
-stack, with each power q^i taken inside the stack's guard, and
-multiplies them through _product on the coefficient arrays.
+smallest is at most PRUNE_REL times the largest.  Its arithmetic is the
+1 x 1 case of the matrix arithmetic below, so a polynomial and a matrix
+follow one rule for each operation.  A LaurentMatrix is its lowest
+exponent plus one dense complex array of shape (K, n, n), coefficient
+slices of consecutive exponents.  A product is one kernel, _product:
+one GEMM for every pair of slices, added along the sum of their
+exponents, and one test that every modulus is finite.  Substitution
+u -> c u multiplies by the weights c^k, for several scales c in one
+broadcast, _translate_stack.  iterate and the isogeny round trip take
+all their translates A(q^i u) as such a stack, with each power q^i
+taken inside the stack's guard.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -156,12 +157,28 @@ def _check_integer(k, what: str, least: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_op(op: Callable[["LaurentMatrix", "LaurentMatrix"], "LaurentMatrix"]) -> Callable:
+    """The LaurentPoly operator that computes p op other as [[p]] op
+    [[other]] and reads back entry(0, 0); a scalar other is a constant."""
+
+    def method(self, other):
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return op(LaurentMatrix([[self]], prune=False), LaurentMatrix([[other]], prune=False)).entry(0, 0)
+
+    return method
+
+
 class LaurentPoly:
     """A Laurent polynomial sum_k c_k u^k with finite support.
 
     Stored as a dict from integer exponent to complex coefficient.
     Construction prunes coefficients below ``PRUNE_REL`` times the largest
-    one and rejects non-finite values.
+    one and rejects non-finite values.  +, -, *, ** by m >= 0 and
+    substitute_scaled are those of the 1 x 1 matrix [[p]], read back
+    with entry(0, 0), with a scalar taken as a constant; so are their
+    pruning and their errors.
     """
 
     __slots__ = ("_c",)
@@ -229,47 +246,13 @@ class LaurentPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0j) + v
-        return LaurentPoly(c)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _matrix_op(operator.add)
+    __sub__ = _matrix_op(operator.sub)
+    __rsub__ = _matrix_op(lambda a, b: b - a)
+    __mul__ = __rmul__ = _matrix_op(operator.matmul)
 
     def __neg__(self):
         return _unchecked_poly({k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return LaurentPoly({k: v * other for k, v in self._c.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self._c or not other._c:
-            return LaurentPoly.zero()
-        # each coefficient is pruned against its own bound, that of |self| * |other|
-        la, va = self._dense()
-        lb, vb = other._dense()
-        lo, bound = la + lb, (PRUNE_REL * np.convolve(np.abs(va), np.abs(vb))).tolist()
-        c = _finite_terms({lo + i: v for i, v in enumerate(np.convolve(va, vb).tolist())})[0]
-        return _unchecked_poly({k: v for k, v in c.items() if abs(v) > bound[k - lo]})
-
-    __rmul__ = __mul__
 
     def __pow__(self, m: int):
         if not isinstance(m, (int, np.integer)):
@@ -280,36 +263,20 @@ class LaurentPoly:
                 raise NotInvertibleInRing(f"negative power of a non-monomial: {self}")
             k, c = mono
             return LaurentPoly.monomial(k * int(m), c ** int(m))
-        out = LaurentPoly.one()
+        base, out = LaurentMatrix([[self]], prune=False), LaurentMatrix.identity(1)
         for _ in range(int(m)):
-            out = out * self
-        return out
+            out = out @ base
+        return out.entry(0, 0)
 
     def substitute_scaled(self, c: complex) -> "LaurentPoly":
-        """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k.
-
-        No pruning happens here: rescaling cannot introduce roundoff
-        junk, and with |c| far from 1 the spread of the c^k weights
-        would otherwise push genuinely meaningful coefficients below a
-        relative cutoff tied to the largest one.
-        """
-        c = complex(c)
-        if c == 0:
-            raise ValueError("substitution scale must be nonzero")
-        return _unchecked_poly(_finite_terms({k: v * c ** k for k, v in self._c.items()})[0])
+        """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k, as
+        LaurentMatrix.substitute_scaled does."""
+        return LaurentMatrix([[self]], prune=False).substitute_scaled(c).entry(0, 0)
 
     def __call__(self, u0: complex) -> complex:
         return sum((v * complex(u0) ** k for k, v in self._c.items()), 0j)
 
     # -- misc ---------------------------------------------------------------
-
-    def _dense(self) -> tuple[int, np.ndarray]:
-        lo = min(self._c)
-        hi = max(self._c)
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        for k, v in self._c.items():
-            arr[k - lo] = v
-        return lo, arr
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
@@ -339,10 +306,11 @@ class LaurentPoly:
 
 
 def _finite_terms(coeffs: Mapping[int, complex]) -> tuple[dict[int, complex], float, float]:
-    """The nonzero terms of ``coeffs``, repeated exponents summed, with
-    the smallest and largest modulus among them; a repeated exponent
-    sets the smallest to 0, as its sum may cancel.  A non-integer
-    exponent raises TypeError, a non-finite modulus ValueError."""
+    """The nonzero terms of ``coeffs`` for the LaurentPoly constructor,
+    repeated exponents summed, with the smallest and largest modulus
+    among them; a repeated exponent sets the smallest to 0, as its sum
+    may cancel.  A non-integer exponent raises TypeError, a non-finite
+    modulus ValueError."""
     c: dict[int, complex] = {}
     low, top = math.inf, 0.0
     for k, v in coeffs.items():
@@ -410,7 +378,6 @@ def _unchecked_poly(terms: dict[int, complex]) -> LaurentPoly:
 def _poly_from_values(lo: int, values: Sequence[complex]) -> LaurentPoly:
     """The polynomial sum_k values[k] u^(lo + k), zeros dropped, no pruning."""
     return _unchecked_poly({lo + k: v for k, v in enumerate(values) if v})
-
 
 class LaurentMatrix:
     """A square matrix with LaurentPoly entries.
@@ -563,21 +530,15 @@ class LaurentMatrix:
     def substitute_scaled(self, c: complex) -> "LaurentMatrix":
         """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k.
 
-        No pruning, as for LaurentPoly.substitute_scaled.  The weights
-        c^k are Python powers, which raise OverflowError past the double
-        range, or ZeroDivisionError when c^-k underflows to 0; a
-        coefficient that overflows in the product raises ValueError.
+        Exact, so not pruned.  The weights c^k are Python powers, which
+        raise OverflowError past the double range, or ZeroDivisionError
+        when c^-k underflows to 0; a coefficient that overflows in the
+        product raises ValueError.
         """
         stack, failure = self._translate_stack([c])
         if failure is not None:
             raise failure
         return LaurentMatrix._from_coeffs(self._lo, stack[0], prune=False)
-
-    def _translates(self, scales: Iterable[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
-        """The matrices self(c u) of _translate_stack, as views of its
-        stack, with its error or None."""
-        stack, failure = self._translate_stack(scales)
-        return [LaurentMatrix._from_coeffs(self._lo, t, prune=False) for t in stack], failure
 
     def _translate_stack(self, scales: Iterable[complex]) -> tuple[np.ndarray, Optional[Exception]]:
         """The coefficient arrays of self(c u) for the scales c in order,

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .laurent import Torus
+from .laurent import Torus, _check_budget
 
 __all__ = [
     "ThetaCharacteristic",
@@ -70,10 +70,12 @@ def theta_eval(t: Torus, xi: ThetaCharacteristic, z: complex, terms: int = 40) -
     The tail drops off like exp(-pi Im(tau) n^2), so the default 40 terms
     is far below double precision for any modulus of interest.  The
     terms are summed in one numpy expression; a term or a sum past the
-    double range raises OverflowError.
+    double range raises OverflowError, and more than SAMPLE_BUDGET terms
+    ValueError, before anything is allocated.
     """
     if terms < 1:
         raise ValueError(f"terms must be positive, got {terms}")
+    _check_budget("theta series", 2 * terms + 1, 1)
     na = np.arange(-terms, terms + 1) + xi.a
     zb = complex(z) + xi.b
     with np.errstate(over="ignore", invalid="ignore"):

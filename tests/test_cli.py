@@ -261,6 +261,14 @@ def test_theta_check_passes_and_is_seeded(capsys, monkeypatch):
     assert json.loads(out3)["pass"] is True
 
 
+def test_theta_check_refuses_terms_past_the_budget(capsys, monkeypatch):
+    terms = SAMPLE_BUDGET // 2
+    code, out, err = run(capsys, monkeypatch, ["theta-check", "--tau", "0+1i", "--terms", str(terms)])
+    assert (code, out) == (1, "")
+    width = 2 * terms + 1
+    assert err == f"ValueError: theta series window of width {width} needs {width} elements, more than SAMPLE_BUDGET = {SAMPLE_BUDGET}\n"
+
+
 def test_verify_witness_files(capsys, monkeypatch, tmp_path):
     from torusbundles import matrix_to_json
 

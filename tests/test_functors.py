@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from torusbundles import (
     tensor,
     wedge_power,
 )
+from torusbundles.laurent import SAMPLE_BUDGET
 from helpers import random_constant_invertible, random_single_exponent_factor
 
 
@@ -117,6 +119,21 @@ def test_wedge_out_of_range(torus, rng):
         wedge_power(f, 4)
     with pytest.raises(ValueError):
         wedge_power(f, -1)
+
+
+def test_wedge_past_the_budget_raises_before_listing_index_sets(torus):
+    # the 184756 index sets of 10 out of 20, listed first, took 42 MiB
+    f = _const_factor(torus, np.eye(20))
+    need = (math.comb(20, 10) * 10) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            wedge_power(f, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"sampling window of width 1 needs {need} elements, more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
+    assert peak < 1 << 20
 
 
 def test_wedge_is_multiplicative(torus, rng):

@@ -185,6 +185,24 @@ def test_ring_axioms(p, r, s):
     assert poly_close(p * (r + s), p * r + p * s)
 
 
+def _one_by_one(p):
+    return LaurentMatrix([[p]], prune=False)
+
+
+@given(_poly, _poly, _coeff, _scale)
+# a product whose u term cancels to 2.8e-17: a rule of its own, pruning
+# each term against |a| * |b|, dropped it from the polynomial product
+@example(LaurentPoly({0: 0.1, 1: 0.3}), LaurentPoly({0: 0.7, 1: -0.3 * 0.7 / 0.1}), 2.0, 1.0)
+def test_poly_arithmetic_is_that_of_the_one_by_one_matrix(p, r, z, c):
+    a, b, const = _one_by_one(p), _one_by_one(r), _one_by_one(LaurentPoly.constant(z))
+    for got, want in (
+        (p + r, a + b), (p - r, a - b), (p * r, a @ b), (p ** 3, a @ a @ a),
+        (p + z, a + const), (z - p, const - a), (p * z, a @ const), (z * p, a @ const),
+        (p.substitute_scaled(c), a.substitute_scaled(c)),
+    ):
+        assert got.terms() == want.entry(0, 0).terms()
+
+
 @given(_poly, _scale, _scale)
 @settings(max_examples=60)
 def test_substitution_is_multiplicative(p, a, b):
@@ -380,7 +398,7 @@ def test_substitution_to_a_finite_part_and_an_infinite_modulus_raises():
     with pytest.raises(ValueError) as exc:
         m.substitute_scaled(1.5e108 * (1 + 1j))
     assert str(exc.value) == text
-    translates, failure = m._translates([1, 1.5e108 * (1 + 1j)])
+    translates, failure = m._translate_stack([1, 1.5e108 * (1 + 1j)])
     assert len(translates) == 1 and str(failure) == text
     # a modulus near 1e160, whose square is past the double range, is kept
     assert m.substitute_scaled(1e-40 + 1e-40j).max_coeff() == pytest.approx(math.sqrt(2) * 1e160)
@@ -510,13 +528,14 @@ def test_translates_match_one_product_per_scale(rng):
                 m = LaurentMatrix._from_coeffs(-1, c, prune=False)
                 scales = [complex(*rng.normal(size=2)) for _ in range(4)]
                 for k in range(1, len(scales) + 1):
-                    translates, failure = m._translates(scales[:k])
+                    translates, failure = m._translate_stack(scales[:k])
                     assert failure is None and len(translates) == k
                     for s, got in zip(scales, translates):
                         want = m._c * np.array([s ** e for e in range(-1, width - 1)])[:, None, None]
-                        assert got._lo == -1
-                        assert got._c.tobytes() == want.tobytes()
-                        assert got._c.tobytes() == m.substitute_scaled(s)._c.tobytes()
+                        one = m.substitute_scaled(s)
+                        assert one._lo == -1
+                        assert got.tobytes() == want.tobytes()
+                        assert got.tobytes() == one._c.tobytes()
 
 
 def test_translates_stop_at_the_first_failing_scale():
@@ -527,7 +546,7 @@ def test_translates_stop_at_the_first_failing_scale():
         (1e-8, OverflowError, "complex exponentiation"),
         (1e-10, ZeroDivisionError, "0.0 to a negative or complex power"),
     ):
-        translates, failure = m._translates([1, 1.5, scale, 0])
+        translates, failure = m._translate_stack([1, 1.5, scale, 0])
         assert len(translates) == 2
         assert (type(failure), str(failure)) == (kind, text)
         with pytest.raises(kind, match=re.escape(text)):

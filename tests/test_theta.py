@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from torusbundles import (
     theta_zero,
     verify_theta_function,
 )
+from torusbundles import laurent
+from torusbundles.laurent import SAMPLE_BUDGET
 from torusbundles.theta import SHIFT_RANGE
 
 
@@ -161,3 +164,26 @@ def test_theta_past_the_double_range_raises():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(OverflowError):
             theta_eval(Torus(1j), XI0, -100j)
+
+
+def test_theta_past_the_budget_raises_before_allocating():
+    terms = SAMPLE_BUDGET // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            theta_eval(Torus(1j), XI0, 0.1, terms=terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width = 2 * terms + 1
+    assert str(exc.value) == (
+        f"theta series window of width {width} needs {width} elements, more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
+    )
+    assert peak < 1 << 20
+
+
+def test_theta_budget_admits_exactly_its_width(monkeypatch):
+    monkeypatch.setattr(laurent, "SAMPLE_BUDGET", 81)
+    assert theta_eval(Torus(1j), XI0, 0.1, terms=40) == theta_eval(Torus(1j), XI0, 0.1)
+    with pytest.raises(ValueError, match="width 83 needs 83 elements"):
+        theta_eval(Torus(1j), XI0, 0.1, terms=41)
