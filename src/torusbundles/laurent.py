@@ -34,7 +34,8 @@ powers take one path, LaurentMatrix._sampled: evaluate at the roots of
 unity of a support window known in advance, apply a batched numeric map
 to all samples, and interpolate by an inverse FFT.  A one-point window
 takes no FFT and stays exact.  SAMPLE_BUDGET caps the size of a window,
-and of the coefficient array of a matrix built from rows or blocks.
+and of the coefficient array of a matrix built from rows or blocks or
+taken as a sum, whose window spans only its nonzero operands.
 """
 
 from __future__ import annotations
@@ -379,6 +380,7 @@ def _poly_from_values(lo: int, values: Sequence[complex]) -> LaurentPoly:
     """The polynomial sum_k values[k] u^(lo + k), zeros dropped, no pruning."""
     return _unchecked_poly({lo + k: v for k, v in enumerate(values) if v})
 
+
 class LaurentMatrix:
     """A square matrix with LaurentPoly entries.
 
@@ -485,13 +487,18 @@ class LaurentMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def _combine(self, other: "LaurentMatrix", sign: int) -> "LaurentMatrix":
+        """self + sign * other on the window of the nonzero operands, so a
+        zero operand does not widen it; a window past SAMPLE_BUDGET raises
+        ValueError before it is allocated."""
         self._check_size(other)
-        lo = min(self._lo, other._lo)
-        hi = max(self._lo + len(self._c), other._lo + len(other._c))
+        live = [(m, s) for m, s in ((self, 1), (other, sign)) if len(m._c)]
+        lo = min((m._lo for m, _ in live), default=0)
+        hi = max((m._lo + len(m._c) for m, _ in live), default=lo)
+        _check_budget("exponent", hi - lo, self.n * self.n)
         out = np.zeros((hi - lo, self.n, self.n), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            out[self._lo - lo:self._lo - lo + len(self._c)] += self._c
-            out[other._lo - lo:other._lo - lo + len(other._c)] += sign * other._c
+            for m, s in live:
+                out[m._lo - lo:m._lo - lo + len(m._c)] += s * m._c
             return LaurentMatrix._from_coeffs(lo, out)
 
     def __add__(self, other):

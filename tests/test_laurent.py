@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -25,6 +26,8 @@ from torusbundles import (
     torus_from_json,
     torus_to_json,
 )
+from torusbundles import laurent
+from torusbundles.laurent import SAMPLE_BUDGET
 
 from helpers import (
     random_laurent,
@@ -201,6 +204,44 @@ def test_poly_arithmetic_is_that_of_the_one_by_one_matrix(p, r, z, c):
         (p.substitute_scaled(c), a.substitute_scaled(c)),
     ):
         assert got.terms() == want.entry(0, 0).terms()
+
+
+def _peak_of(f):
+    """f's result or error, and the peak traced allocation while it ran."""
+    tracemalloc.start()
+    try:
+        try:
+            out = f()
+        except ValueError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_zero_summand_does_not_widen_the_window():
+    far = LaurentPoly.monomial(10 ** 9, 2.5)
+    for f in (lambda: far + 0, lambda: 0 + far, lambda: far - LaurentPoly.zero(), lambda: sum([far])):
+        got, peak = _peak_of(f)
+        assert got == far and peak < 1 << 20
+    got, peak = _peak_of(lambda: LaurentPoly.zero() - far)
+    assert got == -far and peak < 1 << 20
+    m = LaurentMatrix([[far, 0], [0, 1j * far]])
+    assert (m + LaurentMatrix.zeros(2))._c.tobytes() == m._c.tobytes()
+
+
+def test_a_sum_past_the_budget_raises_before_allocating(monkeypatch):
+    # the window of a sum is dense, so a sparse polynomial spanning more
+    # than SAMPLE_BUDGET exponents has no sum, difference or poly_close
+    far = LaurentPoly.monomial(10 ** 9)
+    text = f"exponent window of width {10 ** 9 + 1} needs {10 ** 9 + 1} elements, more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
+    for f in (lambda: far + 1, lambda: 1 - far, lambda: poly_close(far, LaurentPoly.one())):
+        got, peak = _peak_of(f)
+        assert isinstance(got, ValueError) and str(got) == text and peak < 1 << 20
+    monkeypatch.setattr(laurent, "SAMPLE_BUDGET", 81)
+    assert not poly_close(LaurentPoly.monomial(80), LaurentPoly.one())
+    with pytest.raises(ValueError, match="width 82 needs 82 elements"):
+        poly_close(LaurentPoly.monomial(81), LaurentPoly.one())
 
 
 @given(_poly, _scale, _scale)
