@@ -100,12 +100,15 @@ def roundtrip_diag(ctx: IsogenyContext, f: FactorOfAutomorphy) -> list[FactorOfA
 
     The translates are built as one stack, and each is judged invertible
     by its own factor; a failure raises the error of the first failing
-    translate, as building them one by one would.
+    translate, as building them one by one would.  When f.A carries det
+    d u^k, as its own check keeps it for one exponent per row, a
+    translate by c that loses no coefficient carries d c^k u^k, so its
+    check takes no determinant (LaurentMatrix._translate_matrices).
     """
     _require_same_torus(f.torus, ctx.cover)
     q = ctx.base.q
-    stack, failure = f.A._translate_stack([q ** i for i in range(ctx.r)])
-    blocks = [FactorOfAutomorphy(ctx.cover, LaurentMatrix._from_coeffs(f.A._lo, a, prune=False)) for a in stack]
+    translates, failure = f.A._translate_matrices([q ** i for i in range(ctx.r)])
+    blocks = [FactorOfAutomorphy(ctx.cover, a) for a in translates]
     if failure is not None:
         raise failure
     return blocks

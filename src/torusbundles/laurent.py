@@ -27,7 +27,10 @@ exponents, and one test that every modulus is finite.  Substitution
 u -> c u multiplies by the weights c^k, for several scales c in one
 broadcast, _translate_stack.  iterate and the isogeny round trip take
 all their translates A(q^i u) as such a stack, with each power q^i
-taken inside the stack's guard.
+taken inside the stack's guard.  Outside iterate, whose translates are
+intermediates, a translate that loses no coefficient keeps its base's
+window, and the det d c^k u^k when the base carries d u^k, so its
+invertibility check takes no determinant.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -81,8 +84,9 @@ CLOSE_TOL = 1e-9
 INVERTIBILITY_SAMPLES = 16
 
 #: most elements a coefficient array (exponent window width x n^2), a root
-#: table (window width x exponents) or a stack of samples (window width x
-#: n^2) may hold; wider windows raise ValueError
+#: table (window width x exponents, folded to at most the window width) or
+#: a stack of samples (window width x n^2) may hold; wider windows raise
+#: ValueError
 SAMPLE_BUDGET = 1 << 22
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
@@ -185,7 +189,10 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Optional[Mapping[int, complex]] = None):
-        c, low, top = _finite_terms(coeffs or {})
+        if not coeffs:
+            self._c = {}
+            return
+        c, low, top = _finite_terms(coeffs)
         if low <= PRUNE_REL * top:
             threshold = PRUNE_REL * max(abs(v) for v in c.values())
             c = {k: v for k, v in c.items() if abs(v) > threshold}
@@ -395,23 +402,27 @@ class LaurentMatrix:
     __slots__ = ("_lo", "_c", "_det")
 
     def __init__(self, rows: Sequence[Sequence], prune: bool = True):
+        """The matrix of ``rows``, each read once: entries are coerced to
+        LaurentPoly, and only those with terms are recorded and written."""
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
-        entries = []
-        for row in rows:
+        live = []
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in size {n}")
-            entries.append([self._coerce(e) for e in row])
-        exps = [k for row in entries for p in row for k in p._c]
+            for j, e in enumerate(row):
+                terms = (e if type(e) is LaurentPoly else self._coerce(e))._c
+                if terms:
+                    live.append((i, j, terms))
+        exps = [k for _, _, terms in live for k in terms]
         lo = min(exps, default=0)
-        width = max(exps, default=lo - 1) - lo + 1
-        _check_budget("exponent", width, n * n)
-        c = np.zeros((width, n, n), dtype=complex)
-        for i, row in enumerate(entries):
-            for j, p in enumerate(row):
-                for k, v in p._c.items():
-                    c[k - lo, i, j] = v
+        hi = max(exps, default=lo - 1)
+        _check_budget("exponent", hi - lo + 1, n * n)
+        c = np.zeros((hi - lo + 1, n, n), dtype=complex)
+        for i, j, terms in live:
+            for k, v in terms.items():
+                c[k - lo, i, j] = v
         self._set(lo, c, prune)
 
     def _set(self, lo: int, c: np.ndarray, prune: bool) -> None:
@@ -540,12 +551,43 @@ class LaurentMatrix:
         Exact, so not pruned.  The weights c^k are Python powers, which
         raise OverflowError past the double range, or ZeroDivisionError
         when c^-k underflows to 0; a coefficient that overflows in the
-        product raises ValueError.
+        product raises ValueError.  The result keeps a carried det as
+        _translate_matrices describes.
         """
-        stack, failure = self._translate_stack([c])
+        translates, failure = self._translate_matrices([c])
         if failure is not None:
             raise failure
-        return LaurentMatrix._from_coeffs(self._lo, stack[0], prune=False)
+        return translates[0]
+
+    def _translate_matrices(self, scales: Sequence[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
+        """The matrices self(c u) of _translate_stack for the scales c,
+        with its first error or None.  When self carries det d u^k, a
+        translate that lost no coefficient to underflow keeps self's
+        window, so it is not trimmed, and carries det d c^k u^k when
+        _scaled_det gives it.  Any other translate is trimmed and carries
+        nothing, so its det() and its check eliminate as for any matrix.
+        A translate has at most self's nonzero count, so one count of the
+        stack tells when no translate lost any; else one count per
+        translate, over the stack, tells which did."""
+        stack, failure = self._translate_stack(scales)
+        mono = self._det is not None and self._det.is_monomial()
+        if not mono:
+            return [LaurentMatrix._from_coeffs(self._lo, a, prune=False) for a in stack], failure
+        live = np.count_nonzero(self._c)
+        if np.count_nonzero(stack) == len(stack) * live:
+            whole = [True] * len(stack)
+        else:
+            whole = (np.count_nonzero(stack.reshape(len(stack), self._c.size), axis=1) == live).tolist()
+        out = []
+        for c, a, same in zip(scales, stack, whole):
+            det = same and _scaled_det(mono, c)
+            if det:
+                m = LaurentMatrix.__new__(LaurentMatrix)
+                m._lo, m._c, m._det = self._lo, a, det
+            else:
+                m = LaurentMatrix._from_coeffs(self._lo, a, prune=False)
+            out.append(m)
+        return out, failure
 
     def _translate_stack(self, scales: Iterable[complex]) -> tuple[np.ndarray, Optional[Exception]]:
         """The coefficient arrays of self(c u) for the scales c in order,
@@ -622,13 +664,22 @@ class LaurentMatrix:
     def _at_roots(self, width: int) -> np.ndarray:
         """Values at the roots of unity exp(2 pi i t / width), shape
         (width, n, n); the one root of a one-point window is u = 1, where
-        the value is the sum of the coefficient slices."""
+        the value is the sum of the coefficient slices.  More than width
+        slices are first folded into width residue classes of their
+        exponents, by sums over views of the array, so the root table is
+        at most width x width and no copy of the array is taken."""
+        c, n = self._c, self.n
         if width == 1:
-            return self._c.sum(axis=0)[None]
-        k, n = len(self._c), self.n
+            return c.sum(axis=0)[None]
+        k = len(c)
+        if k > width:
+            whole = k - k % width
+            folded = c[:whole].reshape(whole // width, width, n, n).sum(axis=0)
+            folded[:k - whole] += c[whole:]
+            c, k = folded, width
         exps = (np.arange(width)[:, None] * np.arange(self._lo, self._lo + k)) % width
         w = np.exp((2j * np.pi / width) * exps)
-        return (w @ self._c.reshape(k, n * n)).reshape(width, n, n)
+        return (w @ c.reshape(k, n * n)).reshape(width, n, n)
 
     def _sampled(self, lo: int, hi: int, apply: Callable[[np.ndarray], np.ndarray], size: int = 0) -> np.ndarray:
         """Coefficients of u^lo .. u^hi, along axis 0, of a function of
@@ -638,12 +689,12 @@ class LaurentMatrix:
         recovers the coefficients.  A one-point window takes no FFT, so
         an exact ``apply`` gives exact coefficients.  Overflow gives inf
         or nan, without a numpy warning, for the result's constructor to
-        reject.  A root table (W x K), samples (W x n^2) or ``size``
+        reject.  A root table (W x min(K, W)), samples (W x n^2) or ``size``
         elements per sample of ``apply`` past SAMPLE_BUDGET raise
         ValueError before anything is allocated.
         """
         width = hi - lo + 1
-        _check_budget("sampling", width, max(len(self._c), self.n ** 2, size))
+        _check_budget("sampling", width, max(min(len(self._c), width), self.n ** 2, size))
         with np.errstate(over="ignore", invalid="ignore"):
             vals = apply(self._at_roots(width))
             if width == 1:
@@ -755,6 +806,21 @@ def _check_budget(what: str, width: int, per_point: int) -> None:
             f"{what} window of width {width} needs {need} elements, "
             f"more than SAMPLE_BUDGET = {SAMPLE_BUDGET}"
         )
+
+
+def _scaled_det(mono: tuple[int, complex], c: complex) -> Optional[LaurentPoly]:
+    """det A(c u) = d c^k u^k for A with det ``mono`` = (k, d), or None
+    when the Python power c^k raises or d c^k is 0 or not finite, as a
+    det past the double range is not carried.  + 0j stores a zero part
+    as +0, as _one_point_det does."""
+    k, d = mono
+    try:
+        det = d * complex(c) ** k
+    except ArithmeticError:
+        return None
+    if 0.0 < math.hypot(det.real, det.imag) < math.inf:
+        return _unchecked_poly({k: det + 0j})
+    return None
 
 
 def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
@@ -906,7 +972,7 @@ def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
     if point is not None:
         det = math.hypot(point[1].real, point[1].imag)
         return None if 0.0 < det < math.inf else f"|det {name}(1)| = {det:.3g}"
-    _check_budget("sampling", INVERTIBILITY_SAMPLES, max(len(mat._c), mat.n ** 2))
+    _check_budget("sampling", INVERTIBILITY_SAMPLES, max(min(len(mat._c), INVERTIBILITY_SAMPLES), mat.n ** 2))
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
     low, top = float(dets.min()), float(dets.max())

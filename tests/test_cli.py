@@ -411,9 +411,10 @@ def test_wide_exponent_window_is_a_one_line_error(capsys, monkeypatch):
 
 def test_wide_inputs_are_refused_before_allocation(capsys, monkeypatch):
     # [[u^-1e6, u^1e6], [0, 1]] would hold 2000001 x 4 coefficients, past
-    # the budget.  u^-2e6 + 3 u^2e6 holds 4000001 (64 MB, within it), and
-    # the 16-point invertibility sample of it would need a 16 x 4000001
-    # root table, 1 GB.  The peak is bounded by the largest coefficient
+    # the budget.  u^-2e6 + 3 u^2e6 holds 4000001 (64 MB, within it); the
+    # 16-point invertibility sample folds it into 16 slices and passes, and
+    # degree's sampled det of it would need a 4000001-point window.  The
+    # peak is bounded by the largest coefficient
     # array the budget admits, 16 bytes x SAMPLE_BUDGET = 64 MiB, plus a
     # quarter for masks of its slices.  The companion of u^-100 for r = 300
     # would hold 101 x 300^2 coefficients, which degree could not read back.
@@ -424,7 +425,7 @@ def test_wide_inputs_are_refused_before_allocation(capsys, monkeypatch):
         (["degree"], 2, [[term(-10 ** 6, 1.0)], [term(10 ** 6, 1.0)], [], [term(0, 1.0)]],
          "exponent window of width 2000001 needs 8000004 elements"),
         (["degree"], 1, [[term(-2 * 10 ** 6, 1.0), term(2 * 10 ** 6, 3.0)]],
-         "sampling window of width 16 needs 64000016 elements"),
+         "sampling window of width 4000001 needs 16000008000001 elements"),
         (["pushforward", "-r", "300"], 1, [[term(-100, 1.0)]],
          "exponent window of width 101 needs 9090000 elements"),
     )

@@ -357,10 +357,40 @@ def test_matrices_made_from_a_judged_one_are_judged_afresh(torus, rng, monkeypat
     monkeypatch.setattr(laurent, "_pivot_det", lambda m: dets.append(len(m)) or pivot_det(m))
     FactorOfAutomorphy(torus, a)
     assert dets == []
-    for made in (a @ a, a + a, a.substitute_scaled(torus.q), a.transpose()):
+    for made in (a @ a, a + a, a.transpose()):
         FactorOfAutomorphy(torus, made)
         assert len(dets) == 1
         dets.clear()
+
+
+def test_a_translate_keeps_the_det_of_its_judged_matrix(torus, rng, monkeypatch):
+    # det A(cu) = d c^k u^k for det A = d u^k, which A's check kept
+    from torusbundles import laurent
+
+    a = random_single_exponent_factor(rng, torus, 2).A
+    [(k, d)] = a.det().terms()
+    dets = []
+    det, pivot_det = np.linalg.det, laurent._pivot_det
+    monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(m.shape) or det(m))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: dets.append(len(m)) or pivot_det(m))
+    made = a.substitute_scaled(torus.q)
+    FactorOfAutomorphy(torus, made)
+    assert made.det().terms() == [(k, d * torus.q ** k)]
+    assert dets == []
+
+
+def test_a_wide_window_takes_the_sixteen_point_check_within_its_budget():
+    # |u^-150000 + 3 u^150000| stays between 2 and 4 on |u| = 1: the check
+    # folds the 300001 coefficient slices into 16 residue classes, so its
+    # root table is 16 x 16 and no copy of the coefficient array is taken
+    a = LaurentMatrix([[LaurentPoly({-150000: 1, 150000: 3})]])
+    tracemalloc.start()
+    try:
+        FactorOfAutomorphy(Torus(1j), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_witness_torus_check(rng):

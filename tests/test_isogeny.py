@@ -25,7 +25,12 @@ from torusbundles import (
     roundtrip_diag,
 )
 from torusbundles.classify import _twisted_core
-from helpers import matrix_bytes, random_monomial_det_matrix, random_single_exponent_factor
+from helpers import (
+    matrix_bytes,
+    random_monomial_det_matrix,
+    random_single_exponent_factor,
+    random_single_exponent_matrix,
+)
 
 
 @pytest.fixture
@@ -319,14 +324,70 @@ def test_roundtrip_takes_one_determinant(rng, monkeypatch):
     from torusbundles import laurent
 
     ctx = IsogenyContext.for_degree(Torus(0.3 + 1.1j), 7)
-    f = random_single_exponent_factor(rng, ctx.cover, 3)
+    a = random_single_exponent_matrix(rng, 3)
     dets, eliminations = [], []
     det, pivot_det = np.linalg.det, laurent._pivot_det
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
     monkeypatch.setattr(laurent, "_pivot_det", lambda m: eliminations.append(len(m)) or pivot_det(m))
+    f = FactorOfAutomorphy(ctx.cover, a)
     blocks = roundtrip_diag(ctx, f)
     assert len(blocks) == 7
-    # one elimination per translate, which its check took and its det() reads
+    # one elimination, which f's check took: each translate carries the
+    # det d c^k from it, which its check and its det() read
     for b in blocks:
         b.A.det()
-    assert (dets, eliminations) == ([], [3] * 7)
+    assert (dets, eliminations) == ([], [3])
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
+def test_translates_carry_the_det_their_elimination_gives(tau):
+    # every translate of the twisted Jordan cores of the normal form grid
+    # r <= 16, |d| <= 8, those the round trip does not reach included,
+    # against a copy that carries no det and so eliminates
+    from torusbundles.laurent import _invertibility_failure
+
+    t = Torus(tau)
+    for r in range(1, 17):
+        for d in range(-8, 9):
+            rp, core = _twisted_core(t, r, d, 0.6 + 0.2j)
+            translates, _ = core._translate_matrices([t.q ** i for i in range(rp)])
+            for a in translates:
+                carried = a._det
+                fresh = LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False)
+                assert (a._lo, a._c.shape) == (fresh._lo, fresh._c.shape)
+                verdict = _invertibility_failure(fresh, "A")
+                assert _invertibility_failure(a, "A") == verdict
+                # every translate that passes the check carries its det
+                assert (carried is None) == (verdict is not None)
+                if carried is not None:
+                    [(k, got)] = carried.terms()
+                    [(want_k, want)] = fresh.det().terms()
+                    assert k == want_k and abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_translates_of_random_factors_carry_their_det(any_torus, rng):
+    q = any_torus.q
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            f = random_single_exponent_factor(rng, any_torus, n)
+            translates, failure = f.A._translate_matrices([q, q ** 2, q ** 3])
+            assert failure is None
+            for a in translates:
+                [(k, got)] = a._det.terms()
+                [(want_k, want)] = LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False).det().terms()
+                assert k == want_k and abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_a_det_that_underflows_is_not_carried():
+    # on tau = i, no coefficient of diag(u^30, ..., u^30) underflows in
+    # its translates by q^i, i < 4, but |q|^300 is 1e-818: the translates
+    # past the first carry no det, and the elimination of translate 1
+    # finds |det A(1)| = 0, as it did before any det was carried
+    ctx = IsogenyContext.for_degree(Torus(1j), 4)
+    f = FactorOfAutomorphy(ctx.cover, LaurentMatrix.diagonal([LaurentPoly.monomial(30)] * 10))
+    translates, failure = f.A._translate_matrices([ctx.base.q ** i for i in range(4)])
+    assert failure is None
+    assert [a._det is None for a in translates] == [False, True, True, True]
+    with pytest.raises(ValueError) as exc:
+        roundtrip_diag(ctx, f)
+    assert str(exc.value) == "generator fails the sampled invertibility check (|det A(1)| = 0)"

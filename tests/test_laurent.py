@@ -445,6 +445,17 @@ def test_substitution_to_a_finite_part_and_an_infinite_modulus_raises():
     assert m.substitute_scaled(1e-40 + 1e-40j).max_coeff() == pytest.approx(math.sqrt(2) * 1e160)
 
 
+def test_values_at_roots_fold_a_window_wider_than_the_sample(rng):
+    # more slices than roots, contiguous and as a transposed view
+    for n, k, lo in ((1, 37, -20), (3, 40, 5)):
+        c = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        for m in (LaurentMatrix._from_coeffs(lo, c, prune=False),
+                  LaurentMatrix._from_coeffs(lo, c.transpose(0, 2, 1), prune=False)):
+            for width in (5, 16):
+                want = np.array([m.eval_at(np.exp(2j * np.pi * t / width)) for t in range(width)])
+                assert np.abs(m._at_roots(width) - want).max() <= 1e-12 * k
+
+
 def test_inverse_interpolation_path(rng):
     a = random_monomial_det_matrix(rng, 3, -1, 1)
     b = random_monomial_det_matrix(rng, 3, -1, 1)
