@@ -12,9 +12,11 @@ the side that runs first alternating from block to block, and a round's
 time is the CPU time of this process (``time.process_time``).  Task
 checks run once, untimed, on a warm-up round of each side.
 
-The script prints both medians of the round time, the median ratio
-change/parent and the blocks the change won.  Being one process, it sees
-no start-up or import cost; ``bench/run.py`` gives the end-to-end figures.
+The script prints both medians of the round time, the ratio of the
+medians change/parent and the blocks the change won, then the median and
+the quartiles of the per-block ratios change/parent, which show how far
+the blocks spread.  Being one process, it sees no start-up or import
+cost; ``bench/run.py`` gives the end-to-end figures.
 """
 
 import os
@@ -126,6 +128,8 @@ def main(argv=None) -> int:
         print(f"{k}: median {1e3 * med[k]:.2f} ms per round")
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     print(f"ratio change/parent {med['change'] / med['parent']:.4f}, blocks won by the change {won} of {args.blocks}")
+    q1, mid, q3 = np.percentile([c / p for p, c in zip(times["parent"], times["change"])], [25, 50, 75])
+    print(f"per-block ratio change/parent: median {mid:.4f}, quartiles [{q1:.4f}, {q3:.4f}]")
     return 0
 
 

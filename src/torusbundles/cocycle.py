@@ -121,7 +121,7 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     a product of one substitution at a time meets first.  A product
     whose coefficients all underflow to 0 raises ValueError.
     """
-    if not isinstance(m, (int, np.integer)):
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise TypeError(f"m must be an integer, got {m!r}")
     q = f.torus.q
     if m == 0:

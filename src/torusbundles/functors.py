@@ -8,7 +8,9 @@ cocycle.
 
 Symmetric and exterior powers sample A on the roots of unity of d times
 its exponent window, build the induced matrices of all samples in one
-batch and interpolate (LaurentMatrix._sampled).
+batch and interpolate (LaurentMatrix._sampled).  Their gather tables and
+index sets are constants of the rank and degree, kept as the root tables
+are (laurent._kept_tables).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .laurent import LaurentMatrix, _require_same_torus, _sample_dets
+from .laurent import LaurentMatrix, _check_integer, _kept_tables, _require_same_torus, _sample_dets
 from .cocycle import FactorOfAutomorphy
 
 __all__ = [
@@ -44,42 +46,68 @@ def sym_power(f: FactorOfAutomorphy, n: int) -> FactorOfAutomorphy:
     for the last variable j of nu, S_d[mu, nu] = sum_i A[i, j]
     S_(d-1)[mu - e_i, nu'], one gather on all samples.  For the 2x2
     unipotent factor with a single off diagonal 1 this produces the
-    upper triangular binomial coefficient matrix, exactly.
+    upper triangular binomial coefficient matrix, exactly.  n must be
+    an integer, not a bool, of at least 0; else ValueError.
     """
-    if n < 0:
-        raise ValueError(f"symmetric power needs n >= 0, got {n}")
+    n = _check_integer(n, "symmetric power needs n >= 0", 0)
     r = f.A.n
 
     def apply(samples):
-        s, prev = np.ones((len(samples), 1, 1), dtype=complex), {(0,) * r: 0}
+        s = np.ones((len(samples), 1, 1), dtype=complex)
         for d in range(1, n + 1):
-            # monomials of degree d, exponents in descending lexicographic order
-            basis = [tuple(map(c.count, range(r))) for c in itertools.combinations_with_replacement(range(r), d)]
-            # index of mu - e_i in degree d - 1; row len(prev) is zero
-            down = np.array([[prev.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:], len(prev)) for mu in basis]
-                             for i in range(r)])
-            last = [max(np.flatnonzero(nu)) for nu in basis]
+            rows, cols, last = _sym_step(r, d)
             padded = np.concatenate([s, np.zeros_like(s[:, :1])], axis=1)
-            s = (padded[:, down[:, :, None], down[last, range(len(basis))]] * samples[:, :, None, last]).sum(axis=1)
-            prev = {mu: t for t, mu in enumerate(basis)}
+            s = (padded[:, rows, cols] * samples[:, :, None, last]).sum(axis=1)
         return s
 
     return _sampled_functor(f, n, apply, r * math.comb(r + n - 1, n) ** 2)
 
 
+def _monomials(r: int, d: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials of degree d in r variables, in
+    descending lexicographic order."""
+    return [tuple(map(c.count, range(r))) for c in itertools.combinations_with_replacement(range(r), d)]
+
+
+@_kept_tables(lambda r, d: (r + 2) * math.comb(r + d - 1, d))
+def _sym_step(r: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gather of sym_power's step from degree d - 1 to d in rank r:
+    for the monomials nu of degree d, with last variable j = last[nu],
+    S_d[mu, nu] = sum_i A[i, j] S_(d-1)[rows[i, mu], cols[nu]], where
+    rows[i, mu] is the index of mu - e_i in degree d - 1 (one past the
+    last index when mu has no e_i, a zero row) and cols[nu] that of
+    nu - e_j.  rows has shape (r, B, 1), cols and last shape (B,)."""
+    prev = {mu: t for t, mu in enumerate(_monomials(r, d - 1))}
+    basis = _monomials(r, d)
+    down = np.array([[prev.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:], len(prev)) for mu in basis]
+                     for i in range(r)])
+    last = np.array([max(np.flatnonzero(nu)) for nu in basis])
+    return down[:, :, None], down[last, np.arange(len(basis))], last
+
+
 def wedge_power(f: FactorOfAutomorphy, k: int) -> FactorOfAutomorphy:
     """Compound matrix of k x k minors, index sets in lexicographic order;
     the minors of all samples of A are taken in one batch.  The index
-    sets are listed only once the sampling budget has passed them."""
+    sets are listed only once the sampling budget has passed them.  k
+    must be an integer, not a bool, from 0 to n; else ValueError."""
     n = f.A.n
-    if not 0 <= k <= n:
-        raise ValueError(f"wedge power needs 0 <= k <= {n}, got {k}")
+    bounds = f"wedge power needs 0 <= k <= {n}"
+    k = _check_integer(k, bounds, 0)
+    if k > n:
+        raise ValueError(f"{bounds}, got {k!r}")
 
     def apply(samples):
-        subsets = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+        subsets = _index_sets(n, k)
         return _sample_dets(samples[:, subsets[:, None, :, None], subsets[None, :, None, :]])
 
     return _sampled_functor(f, k, apply, (math.comb(n, k) * k) ** 2)
+
+
+@_kept_tables(lambda n, k: math.comb(n, k) * k)
+def _index_sets(n: int, k: int) -> np.ndarray:
+    """The k-element subsets of range(n) in lexicographic order, one per
+    row, shape (comb(n, k), k)."""
+    return np.array(list(itertools.combinations(range(n), k)), dtype=int)
 
 
 def _sampled_functor(f: FactorOfAutomorphy, degree: int, apply, size: int) -> FactorOfAutomorphy:

@@ -39,11 +39,18 @@ to all samples, and interpolate by an inverse FFT.  A one-point window
 takes no FFT and stays exact.  SAMPLE_BUDGET caps the size of a window,
 and of the coefficient array of a matrix built from rows or blocks or
 taken as a sum, whose window spans only its nonzero operands.
+
+The root tables exp(2 pi i t e / W) of the sampled path, and the index
+tables of the symmetric and exterior powers, are constants of shape: a
+table of at most TABLE_CAP elements is built once, made read-only and
+kept, at most TABLES_KEPT of each kind (_kept_tables); a larger one is
+built on each call.  No result, det or verdict is kept.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -88,6 +95,11 @@ INVERTIBILITY_SAMPLES = 16
 #: a stack of samples (window width x n^2) may hold; wider windows raise
 #: ValueError
 SAMPLE_BUDGET = 1 << 22
+
+#: most elements of a kept table of constants of shape, and most tables
+#: kept of each kind: about 1 MiB of root tables, half that of indices
+TABLE_CAP = 1024
+TABLES_KEPT = 64
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -667,7 +679,9 @@ class LaurentMatrix:
         the value is the sum of the coefficient slices.  More than width
         slices are first folded into width residue classes of their
         exponents, by sums over views of the array, so the root table is
-        at most width x width and no copy of the array is taken."""
+        at most width x width and no copy of the array is taken.  The
+        table is _root_table's for lo mod width: t e mod width, and so
+        every sample, does not change when lo does by a multiple of width."""
         c, n = self._c, self.n
         if width == 1:
             return c.sum(axis=0)[None]
@@ -677,9 +691,7 @@ class LaurentMatrix:
             folded = c[:whole].reshape(whole // width, width, n, n).sum(axis=0)
             folded[:k - whole] += c[whole:]
             c, k = folded, width
-        exps = (np.arange(width)[:, None] * np.arange(self._lo, self._lo + k)) % width
-        w = np.exp((2j * np.pi / width) * exps)
-        return (w @ c.reshape(k, n * n)).reshape(width, n, n)
+        return (_root_table(width, self._lo % width, k) @ c.reshape(k, n * n)).reshape(width, n, n)
 
     def _sampled(self, lo: int, hi: int, apply: Callable[[np.ndarray], np.ndarray], size: int = 0) -> np.ndarray:
         """Coefficients of u^lo .. u^hi, along axis 0, of a function of
@@ -808,6 +820,40 @@ def _check_budget(what: str, width: int, per_point: int) -> None:
         )
 
 
+def _kept_tables(size: Callable[..., int]) -> Callable:
+    """Decorator for a function that builds an array, or a tuple of
+    arrays, of constants from the integers of a shape.  When ``size`` of
+    the shape is at most TABLE_CAP elements, the arrays are built once,
+    made read-only and kept in a functools.lru_cache of TABLES_KEPT
+    shapes; a larger shape is built on each call and not kept, so it
+    never pins memory.  The wrapper has the cache's cache_info."""
+
+    def wrap(build: Callable) -> Callable:
+        @functools.lru_cache(maxsize=TABLES_KEPT)
+        def kept(*shape):
+            tables = build(*shape)
+            for t in tables if isinstance(tables, tuple) else (tables,):
+                t.flags.writeable = False
+            return tables
+
+        @functools.wraps(build)
+        def table(*shape):
+            return kept(*shape) if size(*shape) <= TABLE_CAP else build(*shape)
+
+        table.cache_info = kept.cache_info
+        return table
+
+    return wrap
+
+
+@_kept_tables(lambda width, lo, k: width * k)
+def _root_table(width: int, lo: int, k: int) -> np.ndarray:
+    """exp(2 pi i (t e mod width) / width) for the roots t < width and
+    the exponents e = lo .. lo + k - 1, shape (width, k)."""
+    exps = (np.arange(width)[:, None] * np.arange(lo, lo + k)) % width
+    return np.exp((2j * np.pi / width) * exps)
+
+
 def _scaled_det(mono: tuple[int, complex], c: complex) -> Optional[LaurentPoly]:
     """det A(c u) = d c^k u^k for A with det ``mono`` = (k, d), or None
     when the Python power c^k raises or d c^k is 0 or not finite, as a
@@ -874,7 +920,10 @@ def _check_moduli(c: np.ndarray) -> None:
 
 def _pivot_det(m: list[list[complex]]) -> complex:
     """Determinant of one sample, the signed product of the pivots of
-    Gaussian elimination with partial pivoting; overwrites ``m``.  A
+    Gaussian elimination with partial pivoting; overwrites the rows of
+    ``m``, each its own list.  A step updates only the columns past its
+    pivot's: later steps read no column up to it, and the fallback below
+    reads only the pivots m[k][k].  A
     pivot of exactly 0 makes the determinant exactly 0.  A product that
     ends at 0 or non-finite from finite pivots, as of badly scaled rows,
     is taken again with each pivot's power of two split off, so for n
@@ -895,11 +944,11 @@ def _pivot_det(m: list[list[complex]]) -> complex:
             det, sign = -det, -sign
         det *= piv
         top = m[k]
-        for i in range(k + 1, n):
-            f = m[i][k]
+        for row in m[k + 1:]:
+            f = row[k]
             if f:
                 f /= piv
-                m[i] = [x - f * y for x, y in zip(m[i], top)]
+                row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], top[k + 1:])]
     if (det and cmath.isfinite(det)) or not all(cmath.isfinite(m[k][k]) for k in range(n)):
         return det
     pivots = np.array([m[k][k] for k in range(n)])

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .laurent import Torus, _check_budget
+from .laurent import Torus, _check_budget, _check_integer
 
 __all__ = [
     "ThetaCharacteristic",
@@ -71,10 +71,10 @@ def theta_eval(t: Torus, xi: ThetaCharacteristic, z: complex, terms: int = 40) -
     is far below double precision for any modulus of interest.  The
     terms are summed in one numpy expression; a term or a sum past the
     double range raises OverflowError, and more than SAMPLE_BUDGET terms
-    ValueError, before anything is allocated.
+    ValueError, before anything is allocated.  ``terms`` must be a
+    positive integer, not a bool; else ValueError.
     """
-    if terms < 1:
-        raise ValueError(f"terms must be positive, got {terms}")
+    terms = _check_integer(terms, "terms must be positive", 1)
     _check_budget("theta series", 2 * terms + 1, 1)
     na = np.arange(-terms, terms + 1) + xi.a
     zb = complex(z) + xi.b
@@ -119,10 +119,10 @@ def verify_theta_function(
     uniform in [0.05, 0.95] and checks every lattice shift gamma =
     p*tau + n with |p|, |n| <= SHIFT_RANGE.  Residuals are scaled by
     1 + the magnitude of the compared values, since the raw values vary
-    over dozens of orders of magnitude with p.
+    over dozens of orders of magnitude with p.  ``samples`` must be a
+    positive integer, not a bool; else ValueError.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = _check_integer(samples, "samples must be positive", 1)
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0

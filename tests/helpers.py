@@ -1,11 +1,13 @@
 """Shared samplers and independent oracles for the test suite."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 from torusbundles import PRUNE_REL, FactorOfAutomorphy, LaurentMatrix, LaurentPoly
+from torusbundles.laurent import _sample_dets
 
 
 def random_constant_invertible(rng, n, cond_cap=50.0):
@@ -109,3 +111,92 @@ def reference_poly_terms(coeffs):
         threshold = PRUNE_REL * max(abs(v) for v in c.values())
         c = {k: v for k, v in c.items() if abs(v) > threshold}
     return c
+
+
+def reference_at_roots(m, width):
+    """LaurentMatrix._at_roots with its root table built inline on each
+    call from the window's own lowest exponent, not reduced mod width:
+    an oracle for the kept tables."""
+    c, n = m._c, m.n
+    if width == 1:
+        return c.sum(axis=0)[None]
+    k = len(c)
+    if k > width:
+        whole = k - k % width
+        folded = c[:whole].reshape(whole // width, width, n, n).sum(axis=0)
+        folded[:k - whole] += c[whole:]
+        c, k = folded, width
+    exps = (np.arange(width)[:, None] * np.arange(m._lo, m._lo + k)) % width
+    w = np.exp((2j * np.pi / width) * exps)
+    return (w @ c.reshape(k, n * n)).reshape(width, n, n)
+
+
+def reference_pivot_det(m):
+    """Gaussian elimination with partial pivoting that updates every
+    column of each row at each step, with _pivot_det's power-of-two
+    fallback: an oracle for _pivot_det.  Overwrites ``m``."""
+    n = len(m)
+    det = sign = 1.0 + 0j
+    for k in range(n):
+        try:
+            col = [abs(row[k]) for row in m[k:]]
+        except OverflowError:
+            col = [math.hypot(row[k].real, row[k].imag) for row in m[k:]]
+        p = k + col.index(max(col))
+        piv = m[p][k]
+        if piv == 0:
+            return 0j
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det, sign = -det, -sign
+        det *= piv
+        top = m[k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            if f:
+                f /= piv
+                m[i] = [x - f * y for x, y in zip(m[i], top)]
+    if (det and cmath.isfinite(det)) or not all(cmath.isfinite(m[k][k]) for k in range(n)):
+        return det
+    pivots = np.array([m[k][k] for k in range(n)])
+    exp = np.frexp(np.maximum(abs(pivots.real), abs(pivots.imag)))[1]
+    det = sign * np.prod(np.ldexp(pivots.real, -exp) + 1j * np.ldexp(pivots.imag, -exp))
+    with np.errstate(over="ignore"):
+        return complex(*np.ldexp([det.real, det.imag], int(exp.sum())).tolist())
+
+
+def _reference_functor(a, degree, apply, size):
+    lo, hi = degree * a._lo, degree * (a._lo + len(a._c) - 1)
+    return LaurentMatrix._from_coeffs(lo, a._sampled(lo, hi, apply, size))
+
+
+def reference_sym_power(a, n):
+    """The matrix of sym_power(f, n) for f with matrix a, its gather
+    tables built on each call: an oracle for the kept tables."""
+    r = a.n
+
+    def apply(samples):
+        s, prev = np.ones((len(samples), 1, 1), dtype=complex), {(0,) * r: 0}
+        for d in range(1, n + 1):
+            basis = [tuple(map(c.count, range(r))) for c in itertools.combinations_with_replacement(range(r), d)]
+            down = np.array([[prev.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:], len(prev)) for mu in basis]
+                             for i in range(r)])
+            last = [max(np.flatnonzero(nu)) for nu in basis]
+            padded = np.concatenate([s, np.zeros_like(s[:, :1])], axis=1)
+            s = (padded[:, down[:, :, None], down[last, range(len(basis))]] * samples[:, :, None, last]).sum(axis=1)
+            prev = {mu: t for t, mu in enumerate(basis)}
+        return s
+
+    return _reference_functor(a, n, apply, r * math.comb(r + n - 1, n) ** 2)
+
+
+def reference_wedge_power(a, k):
+    """The matrix of wedge_power(f, k) for f with matrix a, its index
+    sets listed on each call: an oracle for the kept tables."""
+    n = a.n
+
+    def apply(samples):
+        subsets = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+        return _sample_dets(samples[:, subsets[:, None, :, None], subsets[None, :, None, :]])
+
+    return _reference_functor(a, k, apply, (math.comb(n, k) * k) ** 2)

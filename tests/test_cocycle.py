@@ -276,6 +276,13 @@ def test_iterate_rejects_non_integer(torus, rng):
         iterate(f, 1.5)
 
 
+def test_iterate_rejects_a_bool(torus, rng):
+    # True is not the count 1
+    f = random_factor(rng, torus, 1)
+    with pytest.raises(TypeError, match="m must be an integer, got True"):
+        iterate(f, True)
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from torusbundles import (
     wedge_power,
 )
 from torusbundles.laurent import SAMPLE_BUDGET
-from helpers import random_constant_invertible, random_single_exponent_factor
+from torusbundles.functors import _index_sets, _sym_step
+from helpers import (
+    matrix_bytes,
+    random_constant_invertible,
+    random_single_exponent_factor,
+    reference_sym_power,
+    reference_wedge_power,
+)
 
 
 def _const_factor(torus, m):
@@ -88,8 +95,26 @@ def test_sym_commutes_with_iteration(torus, rng):
 
 
 def test_sym_rejects_negative(torus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^symmetric power needs n >= 0, got -1$"):
         sym_power(_unipotent(torus), -1)
+
+
+@pytest.mark.parametrize("functor, degree, text", [
+    (sym_power, True, "symmetric power needs n >= 0, got True"),
+    (sym_power, 2.0, "symmetric power needs n >= 0, got 2.0"),
+    (wedge_power, True, "wedge power needs 0 <= k <= 2, got True"),
+    (wedge_power, 1.0, "wedge power needs 0 <= k <= 2, got 1.0"),
+])
+def test_functor_degree_must_be_an_integer(torus, functor, degree, text):
+    with pytest.raises(ValueError) as exc:
+        functor(_unipotent(torus), degree)
+    assert str(exc.value) == text
+
+
+def test_functors_take_numpy_integer_degrees(torus):
+    f = _unipotent(torus)
+    for functor in (sym_power, wedge_power):
+        assert matrix_bytes(functor(f, np.int64(2)).A) == matrix_bytes(functor(f, 2).A)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +140,9 @@ def test_wedge_top_is_determinant(torus, rng):
 
 def test_wedge_out_of_range(torus, rng):
     f = _const_factor(torus, random_constant_invertible(rng, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^wedge power needs 0 <= k <= 3, got 4$"):
         wedge_power(f, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^wedge power needs 0 <= k <= 3, got -1$"):
         wedge_power(f, -1)
 
 
@@ -221,6 +246,31 @@ def test_wedge_of_integer_constants_is_exact(torus):
             subsets = list(itertools.combinations(range(len(m)), k))
             want = [[_integer_det([[m[i][j] for j in cols] for i in rows]) for cols in subsets] for rows in subsets]
             assert np.array_equal(wedge_power(g, k).A.constant_matrix(), np.array(want, dtype=complex))
+
+
+def test_functors_match_tables_built_per_call(torus, rng):
+    # the second call of each reads the kept tables
+    for n in range(1, 6):
+        f, _ = _dense_factor(rng, torus, n, -1, 1)
+        for d in range(5):
+            want = matrix_bytes(reference_sym_power(f.A, d))[:3]
+            for _ in range(2):
+                assert matrix_bytes(sym_power(f, d).A)[:3] == want
+        for k in range(min(n, 4) + 1):
+            want = matrix_bytes(reference_wedge_power(f.A, k))[:3]
+            for _ in range(2):
+                assert matrix_bytes(wedge_power(f, k).A)[:3] == want
+
+
+def test_kept_index_tables_are_read_only_and_capped():
+    for table in (_index_sets(4, 2), *_sym_step(3, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+    assert _index_sets(4, 2) is _index_sets(4, 2)
+    kept = _index_sets.cache_info().currsize
+    wide = _index_sets(12, 6)  # 924 sets of 6, past TABLE_CAP
+    assert wide.shape == (924, 6) and wide.flags.writeable
+    assert _index_sets.cache_info().currsize == kept
 
 
 def test_functors_sample_the_factor_once(torus, rng, monkeypatch):

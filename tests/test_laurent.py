@@ -34,6 +34,8 @@ from helpers import (
     random_laurent_matrix,
     random_monomial_det_matrix,
     random_single_exponent_matrix,
+    reference_at_roots,
+    reference_pivot_det,
     reference_poly_terms,
 )
 
@@ -454,6 +456,75 @@ def test_values_at_roots_fold_a_window_wider_than_the_sample(rng):
             for width in (5, 16):
                 want = np.array([m.eval_at(np.exp(2j * np.pi * t / width)) for t in range(width)])
                 assert np.abs(m._at_roots(width) - want).max() <= 1e-12 * k
+
+
+def test_values_at_roots_match_the_inline_root_table(rng):
+    # windows below, at and above the sample count (the folded path), from
+    # lowest exponents on both sides of 0 and past several widths
+    c = rng.normal(size=(81, 2, 2)) + 1j * rng.normal(size=(81, 2, 2))
+    for width in range(1, 41):
+        for k in sorted({max(1, width // 2), width, 2 * width + 1}):
+            arrays = (c[:k], c[:k].transpose(0, 2, 1))
+            for lo in range(-60, 61):
+                for a in arrays:
+                    m = LaurentMatrix._from_coeffs(lo, a, prune=False)
+                    assert m._at_roots(width).tobytes() == reference_at_roots(m, width).tobytes()
+
+
+def test_a_kept_root_table_is_read_only():
+    table = laurent._root_table(16, 3, 5)
+    assert table is laurent._root_table(16, 3, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+def test_a_root_table_past_the_cap_is_built_but_not_kept(rng):
+    width = 256  # a 256 x 256 table, 1 MiB, past TABLE_CAP
+    assert width * width > laurent.TABLE_CAP
+    c = rng.normal(size=(width, 1, 1)) + 0j
+    m = LaurentMatrix._from_coeffs(-7, c, prune=False)
+    kept = laurent._root_table.cache_info().currsize
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            got = m._at_roots(width)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert laurent._root_table.cache_info().currsize == kept
+    assert got.tobytes() == reference_at_roots(m, width).tobytes()
+    # the exponents, their scaled copy and the table: about 4 MiB at once,
+    # and after the calls only the last result of 4 KiB is held
+    assert peak < 8 << 20
+    assert left < 64 << 10
+
+
+def _elimination_input(rng, n, kind, scale):
+    """An n x n sample for _pivot_det: dense, upper triangular, with a
+    zero row or two proportional rows, with rows scaled by e^scale."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "triangular":
+        a = np.triu(a)
+    elif kind == "zero row":
+        a[rng.integers(n)] = 0
+    elif kind == "proportional" and n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        a[j] = (0.5 - 2j) * a[i]
+    a *= np.exp(scale * rng.choice([-1.0, 0.0, 1.0], size=n))[:, None]
+    return a.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["dense", "triangular", "zero row", "proportional"]), st.sampled_from([0.0, 300.0]))
+def test_elimination_skips_dead_columns_bit_for_bit(n, seed, kind, scale):
+    # the columns up to the pivot's are never read again, so updating only
+    # those past it leaves every determinant's bytes as they were
+    from torusbundles.laurent import _pivot_det
+
+    m = _elimination_input(np.random.default_rng(seed), n, kind, scale)
+    got, want = _pivot_det([row[:] for row in m]), reference_pivot_det([row[:] for row in m])
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 def test_inverse_interpolation_path(rng):

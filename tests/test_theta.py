@@ -41,7 +41,7 @@ def test_theta_truncation_is_stable(any_torus):
     ref = theta_eval(any_torus, XI0, z, terms=60)
     for terms in (10, 20, 40):
         assert abs(theta_eval(any_torus, XI0, z, terms=terms) - ref) <= 1e-12 * (1 + abs(ref))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^terms must be positive, got 0$"):
         theta_eval(any_torus, XI0, z, terms=0)
 
 
@@ -132,8 +132,33 @@ def test_verifier_evaluates_s_once_per_point(torus):
 
 
 def test_verifier_input_checks(torus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^samples must be positive, got 0$"):
         verify_theta_function(torus, lambda p, n, z: 1.0, lambda z: 1.0, samples=0)
+
+
+@pytest.mark.parametrize("terms, text", [
+    (2.5, "terms must be positive, got 2.5"),
+    (True, "terms must be positive, got True"),
+])
+def test_theta_terms_must_be_an_integer(terms, text):
+    # 2.5 terms summed n over half-integers: 0.868 where the series is 1.0699
+    with pytest.raises(ValueError) as exc:
+        theta_eval(Torus(1j), XI0, 0.1, terms=terms)
+    assert str(exc.value) == text
+
+
+def test_theta_takes_numpy_integer_terms(torus):
+    assert theta_eval(torus, XI0, 0.1, terms=np.int64(3)) == theta_eval(torus, XI0, 0.1, terms=3)
+
+
+@pytest.mark.parametrize("samples, text", [
+    (2.5, "samples must be positive, got 2.5"),
+    (True, "samples must be positive, got True"),
+])
+def test_verifier_samples_must_be_an_integer(torus, samples, text):
+    with pytest.raises(ValueError) as exc:
+        verify_theta_function(torus, lambda p, n, z: 1.0, lambda z: 1.0, samples=samples)
+    assert str(exc.value) == text
 
 
 def test_report_json_shape():
