@@ -1,6 +1,6 @@
 """Time one benchmark round of two checkouts against each other in one process.
 
-    python3 scripts/ab_rounds.py PARENT_DIR [--workload cocycle|classify] [--seed S] [--blocks N]
+    python3 scripts/ab_rounds.py PARENT_DIR [--workload cocycle|classify] [--seed S] [--blocks N] [--match TEXT]
 
 PARENT_DIR is another checkout of this repository, the one compared
 against; the other side is the checkout this script lives in.  Each
@@ -10,7 +10,10 @@ own ``bench/workloads.py`` with the same seed, so both time the same
 inputs.  Blocks alternate: each block runs one whole round of each side,
 the side that runs first alternating from block to block, and a round's
 time is the CPU time of this process (``time.process_time``).  Task
-checks run once, untimed, on a warm-up round of each side.
+checks run once, untimed, on a warm-up round of each side.  With
+``--match TEXT`` a round holds only the tasks whose label contains TEXT
+(``--match deg0`` times the degree-zero tasks of ``classify`` apart from
+the grid); a TEXT that no label contains is an error.
 
 The script prints both medians of the round time, the ratio of the
 medians change/parent and the blocks the change won, then the median and
@@ -108,6 +111,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=sorted(ROUNDS), default="cocycle")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--blocks", type=int, default=30)
+    ap.add_argument("--match", default="", metavar="TEXT", help="time only the tasks whose label contains TEXT")
     args = ap.parse_args(argv)
     if args.blocks < 1:
         ap.error("--blocks must be at least 1")
@@ -116,7 +120,11 @@ def main(argv=None) -> int:
         "parent": side_round(args.parent.resolve(), "parent", args.workload, args.seed),
         "change": side_round(ROOT, "change", args.workload, args.seed),
     }
-    print(f"{args.workload} round of {len(sides['change'])} tasks, seed {args.seed}, {args.blocks} blocks")
+    sides = {k: [task for task in v if args.match in task.label] for k, v in sides.items()}
+    if not all(sides.values()):
+        ap.error(f"no {args.workload} task label contains {args.match!r}")
+    matching = f" matching {args.match!r}" if args.match else ""
+    print(f"{args.workload} round of {len(sides['change'])} tasks{matching}, seed {args.seed}, {args.blocks} blocks")
     print("failed tasks per round: " + ", ".join(f"{k} {failures(v)}" for k, v in sides.items()))
     times = {k: [] for k in sides}
     for block in range(args.blocks):

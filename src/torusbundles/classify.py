@@ -29,6 +29,7 @@ from .laurent import (
     Torus,
     _check_integer,
     _integer_from_json,
+    _kept_tables,
 )
 from .cocycle import FactorOfAutomorphy, _is_triangular, _walk_powers
 from .isogeny import IsogenyContext, companion_block, pushforward
@@ -101,9 +102,18 @@ def reduce_param(t: Torus, a: complex, max_power: Optional[int] = None) -> compl
     return out
 
 
+@_kept_tables(lambda r: 2 * r * r)
+def _identity_and_shift(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.eye(r) and np.eye(r, k=1), complex: the diagonal and the ones
+    above it of a Jordan block."""
+    return np.eye(r, dtype=complex), np.eye(r, k=1, dtype=complex)
+
+
 def _jordan_block(r: int, a: complex) -> np.ndarray:
-    """The r x r array of A_r(a): a on the diagonal, 1 above it."""
-    return complex(a) * np.eye(r, dtype=complex) + np.eye(r, k=1, dtype=complex)
+    """The r x r array of A_r(a): a on the diagonal, 1 above it, from the
+    kept identity and shift of _identity_and_shift."""
+    eye, shift = _identity_and_shift(r)
+    return complex(a) * eye + shift
 
 
 def jordan_factor_matrix(r: int, a: complex) -> LaurentMatrix:
@@ -204,8 +214,10 @@ def recognize_deg0(f: FactorOfAutomorphy, nu_range: int = 64) -> Optional[Bundle
     Accepts constant triangular generators; returns the descriptor
     (rank, 0, canonical parameter) when the matrix is a single Jordan
     block at one eigenvalue, None when the Jordan type does not match.
-    nu_range bounds the power of q allowed in the parameter reduction.
+    nu_range, a non-negative integer, bounds the power of q allowed in
+    the parameter reduction.
     """
+    nu_range = _check_integer(nu_range, "nu_range must be a non-negative integer", 0)
     if not f.A.is_constant():
         raise ValueError("recognition needs a constant generator")
     m = f.A.constant_matrix()
@@ -216,6 +228,6 @@ def recognize_deg0(f: FactorOfAutomorphy, nu_range: int = 64) -> Optional[Bundle
     lam = complex(diag[0])
     if any(abs(v - lam) > 1e-8 * (1.0 + abs(lam)) for v in diag):
         return None
-    if _walk_powers(m, lam).partition != (n,):
+    if _walk_powers(m, lam, n).partition != (n,):
         return None
     return BundleDescriptor(n, 0, reduce_param(f.torus, lam, max_power=nu_range))

@@ -15,6 +15,8 @@ some matrix B invertible over the Laurent ring.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -27,7 +29,9 @@ from .laurent import (
     NotNilpotent,
     SAMPLE_BUDGET,
     Torus,
+    _check_integer,
     _invertibility_failure,
+    _kept_tables,
     _product,
     _require_same_torus,
     _trimmed,
@@ -173,8 +177,10 @@ def is_trivial_rank1_constant(f: FactorOfAutomorphy, nu_range: int = 10) -> Opti
 
     The line bundle with constant factor a is trivial exactly when a is a
     power of q; returns the exponent nu with |nu| <= nu_range when
-    |a - q^nu| <= 1e-8 |q^nu|, else None.
+    |a - q^nu| <= 1e-8 |q^nu|, else None.  nu_range must be a
+    non-negative integer.
     """
+    nu_range = _check_integer(nu_range, "nu_range must be a non-negative integer", 0)
     if f.A.n != 1:
         raise ValueError(f"expected a 1x1 factor, got size {f.A.n}")
     e = f.A.entry(0, 0)
@@ -223,19 +229,31 @@ def jordan_type_unipotent(mat, eigenvalue: complex = 1.0) -> tuple[int, ...]:
     partition is read off the rank sequence r_k = rank((mat - e I)^k):
     the number of blocks of size j is r_{j-1} - 2 r_j + r_{j+1}.
     Returned sizes are sorted descending and sum to the matrix size.
+
+    The nilpotency test compares |M^n| with 1e-8 |M|^n in logs.  Entries
+    and the eigenvalue must be finite, and a power M^k past the double
+    range is a ValueError that names k; none of these warns.
     """
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _check_finite(a, [eigenvalue])
     n = a.shape[0]
-    m = a - complex(eigenvalue) * np.eye(n)
-    norm = max(1.0, float(np.linalg.norm(m, 2)))
-    top = np.linalg.matrix_power(m, n)
-    if float(np.linalg.norm(top, 2)) > 1e-8 * norm ** n:
-        raise NotNilpotent(
-            f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {np.linalg.norm(top, 2):.3e})"
-        )
-    walk = _walk_powers(a, complex(eigenvalue))
+
+    def finite(power: np.ndarray, k: int) -> np.ndarray:
+        if not np.isfinite(power).all():
+            raise ValueError(f"powers of the matrix minus {eigenvalue} leave the double range: "
+                             f"M^{k} is not finite (max |entry| = {np.abs(a).max():.3e})")
+        return power
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = finite(a - complex(eigenvalue) * np.eye(n), 1)
+        norm = max(1.0, float(_singular_values(m)[0]))
+        size = float(_singular_values(finite(np.linalg.matrix_power(m, n), n))[0])
+        if size > 0.0 and math.log(size) > math.log(1e-8) + n * math.log(norm):
+            raise NotNilpotent(f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {size:.3e})")
+        walk = _walk_powers(a, complex(eigenvalue), n)
+        finite(walk.powers[-1], len(walk.ranks) - 1)
     if sum(walk.partition) != n:
         raise ArithmeticError(f"inconsistent rank sequence {walk.ranks}")
     return walk.partition
@@ -250,9 +268,49 @@ class _PowerWalk(NamedTuple):
     kernels: list[np.ndarray]
 
 
-def _walk_powers(a: np.ndarray, lam: complex) -> _PowerWalk:
+@_kept_tables(lambda n: 2 * n * n)
+def _identities(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.eye(n) and np.eye(n, dtype=complex): the identity that a - lam I
+    subtracts and the zeroth power of the walk."""
+    return np.eye(n), np.eye(n, dtype=complex)
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """The singular values of m, largest first, from one LAPACK call
+    without vectors: the first has the bits of np.linalg.norm(m, 2).  A
+    matrix with no entries has the one value 0."""
+    return np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
+
+
+def _check_finite(a: np.ndarray, eigenvalues: Sequence[complex] = ()) -> None:
+    """ValueError naming the first non-finite entry of a or eigenvalue."""
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"matrix entries must be finite, got {a[i, j]} at ({i}, {j})")
+    for v in eigenvalues:
+        if not cmath.isfinite(v):
+            raise ValueError(f"eigenvalues must be finite, got {v}")
+
+
+def _more_powers(ranks: list[int], stable: int) -> int:
+    """The fewest powers a walk at ranks must still take to end, with
+    stable = n - mult the rank it settles at.  The rank drops of a
+    nilpotent part never grow (its Weyr characteristic), so from rank r,
+    reached by a drop d, it takes at least ceil((r - stable) / d) powers to
+    reach stable, and then, when stable > 0, the two equal ranks that end
+    the walk.  One more when the last drop is not positive."""
+    r, drop = ranks[-1], ranks[-2] - ranks[-1]
+    if r == 0 or len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]:
+        return 0
+    if drop <= 0:
+        return 1
+    return -(-max(r - stable, 0) // drop) + (2 if stable > 0 else 0)
+
+
+def _walk_powers(a: np.ndarray, lam: complex, mult: int) -> _PowerWalk:
     """Powers M^k of M = a - lam I with their numerical ranks, orthonormal
-    kernel bases (columns) and the Jordan partition of lam inside a.
+    kernel bases (columns) and the Jordan partition of lam inside a, where
+    lam has algebraic multiplicity mult.
 
     Each power takes one SVD.  Rank thresholds scale with each power's own
     largest singular value; a fixed floor of the form c * |M|^k is useless
@@ -264,29 +322,56 @@ def _walk_powers(a: np.ndarray, lam: complex) -> _PowerWalk:
     three ranks agree; past its end the ranks stay at the last one, and
     r_{j-1} - 2 r_j + r_{j+1} blocks have size j (other eigenvalues keep
     full rank and drop out of the differences).
+
+    The powers M^k = M^(k-1) @ M are taken in batches, each SVD'd in one
+    stacked LAPACK call, which is the call a single power takes, so the
+    walk does not depend on where a batch ends.  A batch holds the fewest
+    powers the walk must still take (_more_powers); the first is sized from
+    the singular values of M that |M| is read from.  So a Jordan block
+    takes two LAPACK calls, and a power past the walk's end is taken only
+    when the computed ranks break the Weyr rule, never past M^n.  A batch
+    ends before its first non-finite power, which the next batch SVDs
+    alone, so a power the walk reaches fails as it would one at a time,
+    and one past the end raises nothing.  The identities come from a kept
+    table (_identities).
     """
     n = a.shape[0]
-    m = a - lam * np.eye(n)
-    nrm = float(np.linalg.norm(m, 2))
-    powers = [np.eye(n, dtype=complex)]
+    eye, eye_c = _identities(n)
+    m = a - lam * eye
+    sing = _singular_values(m)
+    nrm = float(sing[0])
+    powers = [eye_c]
     kernels = [np.zeros((n, 0), dtype=complex)]
     ranks = [n]
+    tol = max(1e-10, n * np.finfo(float).eps)
     prev_top = max(1.0, nrm)
     growth = 1.0
-    while len(ranks) <= n:
-        nxt = powers[-1] @ m
-        _, s, vh = np.linalg.svd(nxt)
-        top = float(s[0])
-        if top <= 1e-8 * prev_top * growth:
-            nxt, vh, rank = np.zeros_like(nxt), np.eye(n, dtype=complex), 0
-        else:
-            rank = int(np.sum(s > top * max(1e-10, n * np.finfo(float).eps)))
-        powers.append(nxt)
-        kernels.append(vh[rank:].conj().T)
-        ranks.append(rank)
-        if rank == 0 or (len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]):
-            break
-        prev_top, growth = top, nrm
+    # the rank of M by the walk's rule on these singular values, to size the first batch
+    guess = 0 if nrm <= 1e-8 * prev_top else int(np.sum(sing > nrm * tol))
+    size = 1 + _more_powers([n, guess], n - mult)
+    while size and len(ranks) <= n:
+        size = min(size, n + 1 - len(ranks))
+        batch = np.empty((size, n, n), dtype=complex)
+        prev = powers[-1]
+        for i in range(size):
+            prev = np.matmul(prev, m, out=batch[i])
+        # the batch ends before a non-finite power, which is SVD'd alone
+        finite = np.isfinite(batch).all(axis=(1, 2))
+        size = size if finite.all() else max(int(np.argmin(finite)), 1)
+        _, s, vh = np.linalg.svd(batch[:size])
+        tops = s[:, 0]
+        kept = np.sum(s > tops[:, None] * tol, axis=1)
+        for i, (top, rank) in enumerate(zip(tops.tolist(), kept.tolist())):
+            nxt, v = batch[i], vh[i]
+            if top <= 1e-8 * prev_top * growth:
+                nxt, v, rank = np.zeros((n, n), dtype=complex), eye_c, 0
+            powers.append(nxt)
+            kernels.append(v[rank:].conj().T)
+            ranks.append(rank)
+            if rank == 0 or (len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]):
+                break
+            prev_top, growth = top, nrm
+        size = _more_powers(ranks, n - mult)
 
     def r(k: int) -> int:
         return ranks[min(k, len(ranks) - 1)]
@@ -322,11 +407,21 @@ def _cluster(values: Sequence[complex]) -> list[tuple[complex, int]]:
     return out
 
 
+@_kept_tables(lambda n: 2 * n * n)
+def _strict_triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boolean masks of the entries below and above the diagonal, the
+    masks np.tril(a, -1) and np.triu(a, 1) apply."""
+    return np.tri(n, k=-1, dtype=bool), ~np.tri(n, dtype=bool)
+
+
 def _is_triangular(a: np.ndarray) -> bool:
-    scale = 1.0 + float(np.max(np.abs(a)))
-    lower = float(np.max(np.abs(np.tril(a, -1)))) if a.shape[0] > 1 else 0.0
-    upper = float(np.max(np.abs(np.triu(a, 1)))) if a.shape[0] > 1 else 0.0
-    return min(lower, upper) <= 1e-12 * scale
+    """Whether the entries below, or those above, the diagonal are all
+    within 1e-12 (1 + max |a|) of zero: one np.abs, read through the
+    kept masks of _strict_triangles."""
+    mag = np.abs(a)
+    lower, upper = _strict_triangles(a.shape[0])
+    scale = 1.0 + float(mag.max())
+    return min(float(mag.max(where=lower, initial=0.0)), float(mag.max(where=upper, initial=0.0))) <= 1e-12 * scale
 
 
 def _jordan_basis(walks: list[_PowerWalk]) -> np.ndarray:
@@ -372,6 +467,8 @@ def equivalent_constant(a, b, eigenvalues: Optional[Sequence[complex]] = None) -
     bm = b.constant_matrix() if isinstance(b, LaurentMatrix) else np.asarray(b, dtype=complex)
     if am.shape != bm.shape or am.ndim != 2 or am.shape[0] != am.shape[1]:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    _check_finite(am, () if eigenvalues is None else eigenvalues)
+    _check_finite(bm)
     n = am.shape[0]
     scale = 1.0 + max(float(np.max(np.abs(am))), float(np.max(np.abs(bm))))
     if float(np.max(np.abs(am - bm))) <= _CLUSTER_TOL * scale:
@@ -395,8 +492,8 @@ def equivalent_constant(a, b, eigenvalues: Optional[Sequence[complex]] = None) -
     for (va, ma), (vb, mb) in zip(ca, cb):
         if ma != mb or abs(va - vb) > _CLUSTER_TOL * (1.0 + abs(va)):
             return None
-    walks_a = [_walk_powers(am, v) for v, _ in ca]
-    walks_b = [_walk_powers(bm, v) for v, _ in cb]
+    walks_a = [_walk_powers(am, v, mult) for v, mult in ca]
+    walks_b = [_walk_powers(bm, v, mult) for v, mult in cb]
     if [wa.partition for wa in walks_a] != [wb.partition for wb in walks_b]:
         return None
     w = _jordan_basis(walks_a) @ np.linalg.inv(_jordan_basis(walks_b))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from torusbundles import PRUNE_REL, FactorOfAutomorphy, LaurentMatrix, LaurentPoly
+from torusbundles.cocycle import _PowerWalk
 from torusbundles.laurent import _sample_dets
 
 
@@ -200,3 +201,38 @@ def reference_wedge_power(a, k):
         return _sample_dets(samples[:, subsets[:, None, :, None], subsets[None, :, None, :]])
 
     return _reference_functor(a, k, apply, (math.comb(n, k) * k) ** 2)
+
+
+def reference_walk_powers(a, lam):
+    """cocycle._walk_powers as it was before it took its powers in
+    batches: one np.linalg.norm and then one SVD per power."""
+    n = a.shape[0]
+    m = a - lam * np.eye(n)
+    nrm = float(np.linalg.norm(m, 2))
+    powers = [np.eye(n, dtype=complex)]
+    kernels = [np.zeros((n, 0), dtype=complex)]
+    ranks = [n]
+    prev_top = max(1.0, nrm)
+    growth = 1.0
+    while len(ranks) <= n:
+        nxt = powers[-1] @ m
+        _, s, vh = np.linalg.svd(nxt)
+        top = float(s[0])
+        if top <= 1e-8 * prev_top * growth:
+            nxt, vh, rank = np.zeros_like(nxt), np.eye(n, dtype=complex), 0
+        else:
+            rank = int(np.sum(s > top * max(1e-10, n * np.finfo(float).eps)))
+        powers.append(nxt)
+        kernels.append(vh[rank:].conj().T)
+        ranks.append(rank)
+        if rank == 0 or (len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]):
+            break
+        prev_top, growth = top, nrm
+
+    def r(k: int) -> int:
+        return ranks[min(k, len(ranks) - 1)]
+
+    parts: list[int] = []
+    for j in range(n, 0, -1):
+        parts.extend([j] * max(r(j - 1) - 2 * r(j) + r(j + 1), 0))
+    return _PowerWalk(ranks, tuple(parts), powers, kernels)

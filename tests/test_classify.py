@@ -30,7 +30,7 @@ from torusbundles import (
     reduce_param,
     tensor,
 )
-from torusbundles.classify import _twisted_core
+from torusbundles.classify import _identity_and_shift, _jordan_block, _twisted_core
 from helpers import matrix_bytes, random_constant_invertible, random_factor, winding_on_unit_circle
 
 
@@ -479,6 +479,28 @@ def test_recognize_input_contract(torus, rng):
 def test_recognize_nu_range_cap(torus):
     with pytest.raises(ValueError):
         recognize_deg0(normal_form_deg0(torus, 2, torus.q ** 40), nu_range=8)
+
+
+@pytest.mark.parametrize("nu_range", [True, 2.5, -1])
+def test_recognize_nu_range_must_be_a_non_negative_integer(torus, nu_range):
+    f = normal_form_deg0(torus, 2, 0.5)
+    with pytest.raises(ValueError, match=f"^nu_range must be a non-negative integer, got {nu_range!r}$"):
+        recognize_deg0(f, nu_range=nu_range)
+    assert recognize_deg0(f, nu_range=np.int64(0)).rank == 2
+
+
+def test_jordan_blocks_read_kept_identity_and_shift():
+    for r in (1, 2, 7, 22, 23, 40):
+        eye, shift = _identity_and_shift(r)
+        assert eye.dtype == shift.dtype == complex
+        assert eye.tobytes() == np.eye(r, dtype=complex).tobytes()
+        assert shift.tobytes() == np.eye(r, k=1, dtype=complex).tobytes()
+        for a in (0.6 + 0.2j, -1.3 - 0j, 1e-13, complex(-0.0, 2.0)):
+            block = _jordan_block(r, a)
+            assert block.flags.writeable
+            assert block.tobytes() == (complex(a) * np.eye(r, dtype=complex) + np.eye(r, k=1, dtype=complex)).tobytes()
+    assert not _identity_and_shift(22)[0].flags.writeable
+    assert _identity_and_shift(23)[0].flags.writeable  # 2 r^2 > TABLE_CAP: built per call
 
 
 # ---------------------------------------------------------------------------

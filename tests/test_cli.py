@@ -233,6 +233,26 @@ def test_trivial_check_unipotent_table_line(capsys, monkeypatch):
     ]
 
 
+def test_trivial_check_rejects_a_negative_nu_range(capsys, monkeypatch):
+    # [[q]] is the trivial line bundle, nu = 1
+    t = Torus(1j)
+    payload = _factor_json_text(t, LaurentMatrix([[LaurentPoly.constant(t.q)]]))
+    code, out, err = run(capsys, monkeypatch, ["trivial-check", "--nu-range", "-1"], stdin=payload)
+    assert (code, out) == (1, "")
+    assert err == "ValueError: nu_range must be a non-negative integer, got -1\n"
+    code, out, _ = run(capsys, monkeypatch, ["trivial-check", "--nu-range", "10"], stdin=payload)
+    assert code == 0
+    assert json.loads(out) == {"family": "rank1-constant", "trivial": True, "nu": 1}
+
+
+def test_recognize_rejects_a_negative_nu_range(capsys, monkeypatch):
+    code, form, _ = run(capsys, monkeypatch, ["deg0-form", "--tau", "0+1i", "-r", "3", "-a", "0.6+0.2i"])
+    assert code == 0
+    code, out, err = run(capsys, monkeypatch, ["recognize", "--nu-range", "-1"], stdin=form)
+    assert (code, out) == (1, "")
+    assert err == "ValueError: nu_range must be a non-negative integer, got -1\n"
+
+
 def test_trivial_check_rejects_size3(capsys, monkeypatch):
     t = Torus(1j)
     code, out, err = run(capsys, monkeypatch, ["trivial-check"],

@@ -24,7 +24,10 @@ from torusbundles import (
     normal_form,
 )
 
+from torusbundles.cocycle import _is_triangular, _strict_triangles, _walk_powers
+
 from helpers import (
+    reference_walk_powers,
     random_constant_invertible,
     random_factor,
     random_laurent,
@@ -419,6 +422,14 @@ def test_trivial_rank1_constant(any_torus):
     assert is_trivial_rank1_constant(FactorOfAutomorphy(any_torus, LaurentMatrix([[2.0]]))) is None
 
 
+@pytest.mark.parametrize("nu_range", [2.5, True, -1])
+def test_trivial_rank1_nu_range_must_be_a_non_negative_integer(torus, nu_range):
+    f = FactorOfAutomorphy(torus, LaurentMatrix([[torus.q]]))
+    with pytest.raises(ValueError, match=f"^nu_range must be a non-negative integer, got {nu_range!r}$"):
+        is_trivial_rank1_constant(f, nu_range=nu_range)
+    assert is_trivial_rank1_constant(f, nu_range=np.int64(1)) == 1
+
+
 def test_trivial_rank1_validation(torus):
     with pytest.raises(ValueError):
         is_trivial_rank1_constant(FactorOfAutomorphy(torus, LaurentMatrix.identity(2)))
@@ -499,6 +510,186 @@ def test_jordan_type_other_eigenvalue():
 def test_jordan_type_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
         jordan_type_unipotent(np.diag([1.0, 2.0]))
+
+
+def test_jordan_type_past_the_double_range_is_exact():
+    # M = [[0, 1e200], [0, 0]]: |M|^2 overflows, M^2 is exactly 0
+    assert jordan_type_unipotent([[1, 1e200], [0, 1]], 1) == (2,)
+
+
+@pytest.mark.parametrize("mat, eigenvalue, text", [
+    # M^2 holds 1e320, so M^3 = M^2 @ M is not finite
+    ([[0, 1e160, 0], [0, 0, 1e160], [0, 0, 0]], 0,
+     r"^powers of the matrix minus 0 leave the double range: M\^3 is not finite \(max \|entry\| = 1.000e\+160\)$"),
+    # the nilpotency test passes (M^2 @ M^2 = 0), the walk's M^3 holds 1e330
+    (np.diag([1e110] * 3, 1), 0, r"^powers of the matrix minus 0 leave the double range: M\^3 is not finite"),
+    ([[1, np.nan], [0, 1]], 1, r"^matrix entries must be finite, got \(nan\+0j\) at \(0, 1\)$"),
+    ([[1, 1], [0, 1]], np.inf, "^eigenvalues must be finite, got inf$"),
+])
+def test_jordan_type_rejects_what_it_cannot_compute_without_a_warning(mat, eigenvalue, text):
+    # the suite turns a RuntimeWarning into an error
+    with pytest.raises(ValueError, match=text):
+        jordan_type_unipotent(mat, eigenvalue)
+
+
+def test_equivalent_constant_rejects_non_finite_entries():
+    j = np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite, got \(nan\+0j\) at \(1, 0\)$"):
+        equivalent_constant(j, np.array([[1, 1], [np.nan, 1]]))
+    with pytest.raises(ValueError, match="^eigenvalues must be finite, got nan$"):
+        equivalent_constant(j, j.T, eigenvalues=[1, np.nan])
+
+
+# ---------------------------------------------------------------------------
+# the batched power walk
+# ---------------------------------------------------------------------------
+
+def _same_walk(walk, ref):
+    """Ranks, partition, powers and kernels equal, byte for byte."""
+    assert walk.ranks == ref.ranks and walk.partition == ref.partition
+    assert len(walk.powers) == len(ref.powers) and len(walk.kernels) == len(ref.kernels)
+    for got, want in zip(walk.powers + walk.kernels, ref.powers + ref.kernels):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _seeded_walk_inputs(seed):
+    """A conjugate of a Jordan matrix of size 1..12 with one to three
+    eigenvalues of scale 1e-3..1e3, and each eigenvalue with its
+    multiplicity."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 12
+    k = int(rng.integers(1, min(3, n) + 1))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    eig = [scale * complex(*rng.normal(size=2)) for _ in range(k)]
+    mults = np.diff([0, *sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False)), n]) if k > 1 else [n]
+    blocks = []
+    for lam, mult in zip(eig, mults):
+        while mult:
+            size = int(rng.integers(1, mult + 1))
+            blocks.append((lam, size))
+            mult -= size
+    j = _jordan(blocks)
+    kind = seed % 3
+    if kind == 0:
+        u = _unitary(rng, n)
+        a = u.conj().T @ j @ u
+    elif kind == 1:
+        t = np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
+        a = np.triu(np.linalg.inv(t) @ j @ t)
+    else:
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = np.linalg.solve(g, j @ g)
+    return a, list(zip(eig, (int(m) for m in mults)))
+
+
+def test_batched_walk_matches_the_one_power_walk_byte_for_byte():
+    # mult only sizes the batches: the true multiplicity, n (none known)
+    # and 1 (the ranks then break the Weyr rule) give the same walk
+    for seed in range(144):
+        a, eig = _seeded_walk_inputs(seed)
+        for lam, mult in eig:
+            ref = reference_walk_powers(a, lam)
+            for m in {mult, len(a), 1}:
+                _same_walk(_walk_powers(a, lam, m), ref)
+
+
+def _spy_svd(monkeypatch):
+    """The shapes of the arrays np.linalg.svd is called on, and whether
+    it was asked for vectors."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        seen.append((x.shape, kwargs.get("compute_uv", True)))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def test_a_jordan_block_walks_in_two_lapack_calls(monkeypatch):
+    a = 0.6 + 0.2j
+    j = _jordan([(a, 8)])
+    seen = _spy_svd(monkeypatch)
+    walk = _walk_powers(j, a, 8)
+    assert seen == [((8, 8), False), ((8, 8, 8), True)]
+    assert walk.partition == (8,)
+
+
+def test_equivalent_constant_walks_each_cluster_in_one_batch(monkeypatch):
+    # each cluster's multiplicity sizes its first batch to the whole walk
+    blocks = [(0.6 + 0.2j, 5), (2.0, 3)]
+    j = _jordan(blocks)
+    u = _unitary(np.random.default_rng(9), 8)
+    seen = _spy_svd(monkeypatch)
+    w = equivalent_constant(j, u.conj().T @ j @ u, eigenvalues=[0.6 + 0.2j] * 5 + [2.0] * 3)
+    monkeypatch.undo()
+    assert w is not None
+    assert [shape for shape, _ in seen if len(shape) == 3] == [(7, 8, 8), (5, 8, 8)] * 2
+
+
+def test_the_walk_takes_no_power_past_the_nilpotent_index(monkeypatch):
+    # J_6(1) (x) J_6(1) has Jordan type (11, 9, 7, 5, 3, 1): M^11 = 0
+    j6 = _jordan([(1.0, 6)])
+    a = np.kron(j6, j6)
+    seen = _spy_svd(monkeypatch)
+    walk = _walk_powers(a, 1.0, 36)
+    monkeypatch.undo()
+    assert walk.partition == (11, 9, 7, 5, 3, 1)
+    assert sum(shape[0] for shape, uv in seen if uv) == 11
+    assert len(seen) < 12
+    _same_walk(walk, reference_walk_powers(a, 1.0))
+
+
+def test_the_walk_leaves_unreached_powers_untaken():
+    # diag(0, 1e80 W): the walk ends at M^3 (1e240); M^4 would overflow,
+    # which the suite's filter turns into an error
+    w = _unitary(np.random.default_rng(3), 5)
+    a = np.zeros((6, 6), dtype=complex)
+    a[1:, 1:] = 1e80 * w
+    walk = _walk_powers(a, 0j, 1)
+    assert walk.ranks == [6, 5, 5, 5]
+    _same_walk(walk, reference_walk_powers(a, 0j))
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1e110] * 3, 1),  # M^3 holds inf in one entry: its SVD gives rank 0
+    np.full((3, 3), 1e120),  # M^3 is all inf: LinAlgError
+    np.diag([1e200, 1e200, 1e-3, 2]),  # M^2 overflows at two entries: LinAlgError
+])
+def test_a_non_finite_power_fails_as_in_the_one_power_walk(a):
+    def outcome(walk):
+        try:
+            return walk()
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(lambda: reference_walk_powers(a.astype(complex), 0j))
+        for mult in (1, len(a)):
+            got = outcome(lambda: _walk_powers(a.astype(complex), 0j, mult))
+            if isinstance(ref, str):
+                assert got == ref == "SVD did not converge"
+            else:
+                _same_walk(got, ref)
+
+
+def test_strict_triangles_are_the_masks_of_tril_and_triu():
+    for n in (1, 2, 5, 33):
+        lower, upper = _strict_triangles(n)
+        ones = np.ones((n, n))
+        assert lower.dtype == upper.dtype == bool
+        assert np.array_equal(lower, np.tril(ones, -1) != 0) and np.array_equal(upper, np.triu(ones, 1) != 0)
+    assert not _strict_triangles(5)[0].flags.writeable
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        a = np.triu(rng.normal(size=(n, n))) + 1e-12 * rng.uniform() * np.tril(rng.normal(size=(n, n)), -1)
+        for m in (a, a.T, a + 1e-9 * rng.normal(size=(n, n))):
+            scale = 1.0 + np.max(np.abs(m))
+            lower = np.max(np.abs(np.tril(m, -1))) if n > 1 else 0.0
+            upper = np.max(np.abs(np.triu(m, 1))) if n > 1 else 0.0
+            assert _is_triangular(m) == (min(lower, upper) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,21 @@ ROOT = Path(__file__).resolve().parent.parent
     # this checkout against itself
     ("ab_rounds.py", [str(ROOT), "--blocks", "2"], "cocycle round of 21 tasks, seed 1, 2 blocks"),
     ("seed_sweep.py", ["--workload", "classify", "--seeds", "0:2"], "classify rounds of seeds 0:2"),
+    ("jordan_sweep.py", ["--count", "3"], "26 calls on 3 structures: 2 ArithmeticError, 1 NotNilpotent, 3 descriptor, 8 none, 6 partition, 6 witness"),
 ])
 def test_script_runs_and_prints_its_header(script, args, header):
     assert _run(script, args).splitlines()[0] == header
 
 
-def _run(script, args):
-    """The script's stdout, run on ``args`` with this checkout's src/."""
+def _run(script, args, code=0):
+    """The script's stdout, run on ``args`` with this checkout's src/, or
+    its stderr when it should exit with a nonzero ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc.stderr if code else proc.stdout
 
 
 def test_ab_rounds_prints_the_quartiles_of_the_block_ratios():
@@ -41,3 +43,17 @@ def test_ab_rounds_prints_the_quartiles_of_the_block_ratios():
     assert found, last
     q1, mid, q3 = map(float, found.group(2, 1, 3))
     assert 0 < q1 <= mid <= q3
+
+
+def test_ab_rounds_times_only_the_matching_tasks():
+    lines = _run("ab_rounds.py", [str(ROOT), "--blocks", "2", "--workload", "classify", "--match", "deg0"]).splitlines()
+    assert lines[:2] == ["classify round of 16 tasks matching 'deg0', seed 1, 2 blocks",
+                         "failed tasks per round: parent 0, change 0"]
+    err = _run("ab_rounds.py", [str(ROOT), "--blocks", "2", "--match", "no such task"], code=2)
+    assert err.splitlines()[-1] == "ab_rounds.py: error: no cocycle task label contains 'no such task'"
+
+
+def test_jordan_sweep_prints_one_digest_of_its_results():
+    lines = _run("jordan_sweep.py", ["--count", "3"]).splitlines()
+    assert len(lines) == 2 and re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1]), lines
+    assert _run("jordan_sweep.py", ["--count", "3"]).splitlines() == lines
