@@ -184,12 +184,17 @@ def rank(f: FactorOfAutomorphy) -> int:
 def degree(f: FactorOfAutomorphy) -> int:
     """Minus the winding number of det A around the unit circle.
 
-    A monomial determinant c u^k gives -k directly.  Otherwise the
-    winding number is the count of roots inside the unit circle plus the
-    order at zero; roots with modulus in [1e-6, 1e6] are treated as lying
-    on C* and raise DetVanishesOnCstar, since then the degree is not
+    A monomial determinant c u^k gives -k directly: read from the pair
+    (k, c) of LaurentMatrix._monomial_det when 0 < |c| < inf, without
+    building a polynomial, else from det().  Otherwise the winding
+    number is the count of roots inside the unit circle plus the order
+    at zero; roots with modulus in [1e-6, 1e6] are treated as lying on
+    C* and raise DetVanishesOnCstar, since then the degree is not
     defined.
     """
+    point = f.A._monomial_det()
+    if point is not None and 0.0 < math.hypot(point[1].real, point[1].imag) < math.inf:
+        return -point[0]
     det = f.A.det()
     if det.is_zero:
         raise DetVanishesOnCstar("determinant is identically zero")

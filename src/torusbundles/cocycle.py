@@ -62,9 +62,9 @@ class FactorOfAutomorphy:
 
     Construction runs the sampled invertibility check on A: det must be
     nonzero and not degenerate along the unit circle.  It reads |c| of a
-    det c u^k that A carries from how it was built, as normal forms and
-    their companions do, or takes det A(1) when each row of A holds one
-    exponent.  This is a necessary condition for A to define a bundle,
+    det c u^k that A carries as the pair (k, c) from how it was built, as
+    normal forms and their companions do, or takes det A(1) when each row
+    of A holds one exponent.  This is a necessary condition for A to define a bundle,
     not a proof; the exact certificate is a monomial determinant.
     """
 
@@ -230,30 +230,25 @@ def jordan_type_unipotent(mat, eigenvalue: complex = 1.0) -> tuple[int, ...]:
     the number of blocks of size j is r_{j-1} - 2 r_j + r_{j+1}.
     Returned sizes are sorted descending and sum to the matrix size.
 
-    The nilpotency test compares |M^n| with 1e-8 |M|^n in logs.  Entries
-    and the eigenvalue must be finite, and a power M^k past the double
-    range is a ValueError that names k; none of these warns.
+    The nilpotency test compares |M^n| with 1e-8 |M|^n in logs, and the
+    walk starts from the singular values of M that |M| is read from.
+    Entries and the eigenvalue must be finite, and a power M^k past the
+    double range is a ValueError that names k (_finite_power); none of
+    these warns.
     """
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _check_finite(a, [eigenvalue])
     n = a.shape[0]
-
-    def finite(power: np.ndarray, k: int) -> np.ndarray:
-        if not np.isfinite(power).all():
-            raise ValueError(f"powers of the matrix minus {eigenvalue} leave the double range: "
-                             f"M^{k} is not finite (max |entry| = {np.abs(a).max():.3e})")
-        return power
-
     with np.errstate(over="ignore", invalid="ignore"):
-        m = finite(a - complex(eigenvalue) * np.eye(n), 1)
-        norm = max(1.0, float(_singular_values(m)[0]))
-        size = float(_singular_values(finite(np.linalg.matrix_power(m, n), n))[0])
-        if size > 0.0 and math.log(size) > math.log(1e-8) + n * math.log(norm):
-            raise NotNilpotent(f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {size:.3e})")
-        walk = _walk_powers(a, complex(eigenvalue), n)
-        finite(walk.powers[-1], len(walk.ranks) - 1)
+        m = _finite_power(a - complex(eigenvalue) * np.eye(n), a, eigenvalue, 1)
+        sing = _singular_values(m)
+        norm = max(1.0, float(sing[0]))
+        size = float(_singular_values(_finite_power(np.linalg.matrix_power(m, n), a, eigenvalue, n))[0])
+    if size > 0.0 and math.log(size) > math.log(1e-8) + n * math.log(norm):
+        raise NotNilpotent(f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {size:.3e})")
+    walk = _walk_powers(a, eigenvalue, n, sing)
     if sum(walk.partition) != n:
         raise ArithmeticError(f"inconsistent rank sequence {walk.ranks}")
     return walk.partition
@@ -273,6 +268,15 @@ def _identities(n: int) -> tuple[np.ndarray, np.ndarray]:
     """np.eye(n) and np.eye(n, dtype=complex): the identity that a - lam I
     subtracts and the zeroth power of the walk."""
     return np.eye(n), np.eye(n, dtype=complex)
+
+
+def _finite_power(power: np.ndarray, a: np.ndarray, lam: complex, k: int) -> np.ndarray:
+    """The power M^k of M = a - lam I, or a ValueError naming k when it
+    has left the double range."""
+    if not np.isfinite(power).all():
+        raise ValueError(f"powers of the matrix minus {lam} leave the double range: "
+                         f"M^{k} is not finite (max |entry| = {np.abs(a).max():.3e})")
+    return power
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -307,7 +311,7 @@ def _more_powers(ranks: list[int], stable: int) -> int:
     return -(-max(r - stable, 0) // drop) + (2 if stable > 0 else 0)
 
 
-def _walk_powers(a: np.ndarray, lam: complex, mult: int) -> _PowerWalk:
+def _walk_powers(a: np.ndarray, lam: complex, mult: int, sing: Optional[np.ndarray] = None) -> _PowerWalk:
     """Powers M^k of M = a - lam I with their numerical ranks, orthonormal
     kernel bases (columns) and the Jordan partition of lam inside a, where
     lam has algebraic multiplicity mult.
@@ -327,18 +331,22 @@ def _walk_powers(a: np.ndarray, lam: complex, mult: int) -> _PowerWalk:
     stacked LAPACK call, which is the call a single power takes, so the
     walk does not depend on where a batch ends.  A batch holds the fewest
     powers the walk must still take (_more_powers); the first is sized from
-    the singular values of M that |M| is read from.  So a Jordan block
-    takes two LAPACK calls, and a power past the walk's end is taken only
-    when the computed ranks break the Weyr rule, never past M^n.  A batch
-    ends before its first non-finite power, which the next batch SVDs
-    alone, so a power the walk reaches fails as it would one at a time,
-    and one past the end raises nothing.  The identities come from a kept
-    table (_identities).
+    the singular values of M that |M| is read from, ``sing`` when the
+    caller has taken them.  So a Jordan block takes two LAPACK calls, and
+    a power past the walk's end is taken only when the computed ranks
+    break the Weyr rule, never past M^n.  Powers are taken without numpy
+    warnings.  A batch ends before its first non-finite power, which
+    starts the next batch and raises there (_finite_power), so a power
+    the walk reaches fails as it would one at a time, and one past the
+    end raises nothing.  The identities come from a kept table
+    (_identities).
     """
     n = a.shape[0]
     eye, eye_c = _identities(n)
-    m = a - lam * eye
-    sing = _singular_values(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a - complex(lam) * eye
+    if sing is None:
+        sing = _singular_values(_finite_power(m, a, lam, 1))
     nrm = float(sing[0])
     powers = [eye_c]
     kernels = [np.zeros((n, 0), dtype=complex)]
@@ -353,11 +361,14 @@ def _walk_powers(a: np.ndarray, lam: complex, mult: int) -> _PowerWalk:
         size = min(size, n + 1 - len(ranks))
         batch = np.empty((size, n, n), dtype=complex)
         prev = powers[-1]
-        for i in range(size):
-            prev = np.matmul(prev, m, out=batch[i])
-        # the batch ends before a non-finite power, which is SVD'd alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(size):
+                prev = np.matmul(prev, m, out=batch[i])
+        # the batch ends before a non-finite power, which the walk reaches
+        # only as the first of the next batch
+        _finite_power(batch[0], a, lam, len(ranks))
         finite = np.isfinite(batch).all(axis=(1, 2))
-        size = size if finite.all() else max(int(np.argmin(finite)), 1)
+        size = size if finite.all() else int(np.argmin(finite))
         _, s, vh = np.linalg.svd(batch[:size])
         tops = s[:, 0]
         kept = np.sum(s > tops[:, None] * tol, axis=1)

@@ -27,10 +27,16 @@ exponents, and one test that every modulus is finite.  Substitution
 u -> c u multiplies by the weights c^k, for several scales c in one
 broadcast, _translate_stack.  iterate and the isogeny round trip take
 all their translates A(q^i u) as such a stack, with each power q^i
-taken inside the stack's guard.  Outside iterate, whose translates are
-intermediates, a translate that loses no coefficient keeps its base's
-window, and the det d c^k u^k when the base carries d u^k, so its
-invertibility check takes no determinant.
+taken inside the stack's guard.
+
+A matrix may carry its det c u^k as the pair (k, c), set by how it was
+built: a matrix with one exponent per row keeps _one_point_det's
+elimination, a triangular normal form core and its block companion
+carry theirs (_carry_triangular_det, _carry_companion_det), and outside
+iterate, whose translates are intermediates, a translate that loses no
+coefficient keeps its base's window and carries d c^k when the base
+carries (k, d).  The invertibility check and classify.degree read the
+pair, and det() builds its LaurentPoly from it only when asked.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -409,6 +415,9 @@ class LaurentMatrix:
     Treated as immutable; all operations return new matrices.  Sums
     prune relative to the largest coefficient of the whole result, not
     entry by entry; products (@, kron) and exact results are not pruned.
+    ``_det`` is None or the det c u^k the matrix carries, as the pair
+    (k, c): see _monomial_det for what sets it.  det() builds the
+    LaurentPoly of a carried pair on each request.
     """
 
     __slots__ = ("_lo", "_c", "_det")
@@ -447,7 +456,7 @@ class LaurentMatrix:
                 raise ValueError(f"non-finite coefficient in a {c.shape[1]} x {c.shape[1]} matrix")
             c = np.where(mag > PRUNE_REL * top, c, 0)
         self._lo, self._c = _trimmed(lo, c)
-        self._det: Optional[LaurentPoly] = None
+        self._det: Optional[tuple[int, complex]] = None
 
     @classmethod
     def _from_coeffs(cls, lo: int, c: np.ndarray, prune: bool = True) -> "LaurentMatrix":
@@ -573,18 +582,20 @@ class LaurentMatrix:
 
     def _translate_matrices(self, scales: Sequence[complex]) -> tuple[list["LaurentMatrix"], Optional[Exception]]:
         """The matrices self(c u) of _translate_stack for the scales c,
-        with its first error or None.  When self carries det d u^k, a
+        with its first error or None.  When self carries det (k, d), a
         translate that lost no coefficient to underflow keeps self's
-        window, so it is not trimmed, and carries det d c^k u^k when
-        _scaled_det gives it.  Any other translate is trimmed and carries
-        nothing, so its det() and its check eliminate as for any matrix.
-        A translate has at most self's nonzero count, so one count of the
-        stack tells when no translate lost any; else one count per
-        translate, over the stack, tells which did."""
+        window, so it is not trimmed, and carries (k, d c^k) when the
+        Python power c^k raises nothing and d c^k has a finite, nonzero
+        modulus, as a det past the double range is not carried.  Any
+        other translate is trimmed and carries nothing, so its det() and
+        its check eliminate as for any matrix.  A translate has at most
+        self's nonzero count, so one count of the stack tells when no
+        translate lost any; else one count per translate, over the
+        stack, tells which did."""
         stack, failure = self._translate_stack(scales)
-        mono = self._det is not None and self._det.is_monomial()
-        if not mono:
+        if self._det is None:
             return [LaurentMatrix._from_coeffs(self._lo, a, prune=False) for a in stack], failure
+        k, d = self._det
         live = np.count_nonzero(self._c)
         if np.count_nonzero(stack) == len(stack) * live:
             whole = [True] * len(stack)
@@ -592,10 +603,14 @@ class LaurentMatrix:
             whole = (np.count_nonzero(stack.reshape(len(stack), self._c.size), axis=1) == live).tolist()
         out = []
         for c, a, same in zip(scales, stack, whole):
-            det = same and _scaled_det(mono, c)
-            if det:
+            try:
+                det = d * complex(c) ** k if same else 0j
+            except ArithmeticError:
+                det = 0j
+            if 0.0 < math.hypot(det.real, det.imag) < math.inf:
                 m = LaurentMatrix.__new__(LaurentMatrix)
-                m._lo, m._c, m._det = self._lo, a, det
+                # + 0j stores a zero part as +0, as _one_point_det does
+                m._lo, m._c, m._det = self._lo, a, (k, det + 0j)
             else:
                 m = LaurentMatrix._from_coeffs(self._lo, a, prune=False)
             out.append(m)
@@ -714,18 +729,18 @@ class LaurentMatrix:
             return (np.fft.fft(vals, axis=0) / width)[(lo + np.arange(width)) % width]
 
     def det(self) -> LaurentPoly:
-        """Determinant as a LaurentPoly: the det the matrix carries from
-        how it was built, or, when each row holds one exponent,
-        _one_point_det's elimination, which the matrix keeps.  Else det
-        is sampled on the window between the sums of the rows' lowest and
-        highest exponents, one batched determinant for all samples, and
-        not kept; it is identically zero only when every sample is 0.
+        """Determinant as a LaurentPoly: built from the pair (k, c) of
+        _monomial_det when the matrix carries one or each row holds one
+        exponent.  Else det is sampled on the window between the sums of
+        the rows' lowest and highest exponents, one batched determinant
+        for all samples, and not kept; it is identically zero only when
+        every sample is 0.
         """
-        point = self._det is None and self._one_point_det()
-        if self._det is not None:
-            return self._det
-        if point:  # an elimination whose modulus is past the double range is not kept
-            raise ValueError(f"non-finite coefficient {point[1]!r} at exponent {point[0]}")
+        point = self._monomial_det()
+        if point is not None:
+            if self._det is None:  # an elimination whose modulus is past the double range is not kept
+                raise ValueError(f"non-finite coefficient {point[1]!r} at exponent {point[0]}")
+            return _poly_from_values(point[0], [point[1]])
         ext = self._row_extremes()
         if ext is None:
             return LaurentPoly.zero()
@@ -733,11 +748,22 @@ class LaurentMatrix:
         # non-finite samples are left to LaurentPoly to reject
         return LaurentPoly(dict(zip(range(lo, hi + 1), self._sampled(lo, hi, _sample_dets).tolist())))
 
+    def _monomial_det(self) -> Optional[tuple[int, complex]]:
+        """The det c u^k as the pair (k, c), when it is known without
+        sampling: the pair the matrix carries, or else _one_point_det's.
+        A pair is carried, with a finite modulus and any zero part stored
+        as +0, by _one_point_det, _carry_triangular_det,
+        _carry_companion_det and _translate_matrices; a zero det is the
+        pair (k, 0j).  An elimination whose modulus is not finite is
+        returned but not carried.  None when no pair is carried and some
+        row holds more than one exponent."""
+        return self._det or self._one_point_det()
+
     def _one_point_det(self) -> Optional[tuple[int, complex]]:
         """(sum e_i, det A(1)) when each row i holds one exponent e_i, so
         A(u) = diag(u^e_i) A(1), or is zero (at most n live (exponent,
-        row) pairs); else None.  Reads a carried det, or takes one
-        _pivot_det and keeps det if its modulus is finite."""
+        row) pairs); else None.  Takes one _pivot_det and carries the
+        pair if its modulus is finite."""
         c, n = self._c, self.n
         k = n * self._lo
         if len(c) > 1:
@@ -745,12 +771,11 @@ class LaurentMatrix:
             if np.count_nonzero(live) > n:
                 return None
             k += int(live.argmax(axis=0).sum())
-        if self._det is not None:
-            return k, self._det._c.get(k, 0j)
         det = _pivot_det((c[0] if len(c) == 1 else c.sum(axis=0)).tolist())
         if math.isfinite(math.hypot(det.real, det.imag)):
             # + 0j stores a zero part as +0, as the LaurentPoly constructor does
-            self._det = _poly_from_values(k, [det + 0j])
+            self._det = k, det + 0j
+            return self._det
         return k, det
 
     def _carry_triangular_det(self) -> "LaurentMatrix":
@@ -764,22 +789,21 @@ class LaurentMatrix:
         pivots = self._c[0].diagonal().tolist() if len(self._c) else [0j]
         det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
         if math.isfinite(math.hypot(det.real, det.imag)):
-            self._det = _poly_from_values(self.n * self._lo, [det + 0j])
+            self._det = self.n * self._lo, det + 0j
         return self
 
     def _carry_companion_det(self, a: "LaurentMatrix", r: int) -> "LaurentMatrix":
         """Carry det on this matrix, companion_block(a, r), when a carries
-        det a, and return it: det = (-1)^((r-1) n) det a, n = a.n.  For
-        a triangular a as above, elimination takes a's diagonal and then
-        ones as pivots, with a sign change at each row swap; that differs
-        from the sign times det a at most in the sign of a zero part,
+        det (k, c), and return it: det = (k, (-1)^((r-1) n) c), n = a.n.
+        For a triangular a as above, elimination takes a's diagonal and
+        then ones as pivots, with a sign change at each row swap; that
+        differs from the sign times c at most in the sign of a zero part,
         which + 0j stores as +0, so the det is det()'s bit for bit.  For
-        other a it is det() up to rounding.  The terms of det a are
-        nonzero and finite already, so they are stored unchecked.
+        other a it is det() up to rounding.
         """
         if a._det is not None:
-            sign = (-1) ** ((r - 1) * a.n)
-            self._det = _unchecked_poly({k: sign * c + 0j for k, c in a._det._c.items()})
+            k, c = a._det
+            self._det = k, (-1) ** ((r - 1) * a.n) * c + 0j
         return self
 
     def inverse_monomial_det(self) -> "LaurentMatrix":
@@ -788,14 +812,17 @@ class LaurentMatrix:
         Entry (i, j) is a cofactor that omits row j, divided by det =
         c u^k, so its support lies in [sum(lows) - max(lows) - k,
         sum(highs) - min(highs) - k]; the samples are inverted in one
-        batch.
+        batch.  det is read from _monomial_det's pair when it is nonzero
+        and carried, else taken by det().
         """
-        det = self.det()
-        mono = det.is_monomial()
-        if mono is None:
-            raise NotInvertibleInRing(
-                f"det = {det} is not a monomial, so the matrix has no inverse with Laurent entries"
-            )
+        mono = self._monomial_det()
+        if self._det is None or not mono[1]:
+            det = self.det()
+            mono = det.is_monomial()
+            if mono is None:
+                raise NotInvertibleInRing(
+                    f"det = {det} is not a monomial, so the matrix has no inverse with Laurent entries"
+                )
         lows, highs = self._row_extremes()
         lo = int(lows.sum() - lows.max()) - mono[0]
         hi = int(highs.sum() - highs.min()) - mono[0]
@@ -852,21 +879,6 @@ def _root_table(width: int, lo: int, k: int) -> np.ndarray:
     the exponents e = lo .. lo + k - 1, shape (width, k)."""
     exps = (np.arange(width)[:, None] * np.arange(lo, lo + k)) % width
     return np.exp((2j * np.pi / width) * exps)
-
-
-def _scaled_det(mono: tuple[int, complex], c: complex) -> Optional[LaurentPoly]:
-    """det A(c u) = d c^k u^k for A with det ``mono`` = (k, d), or None
-    when the Python power c^k raises or d c^k is 0 or not finite, as a
-    det past the double range is not carried.  + 0j stores a zero part
-    as +0, as _one_point_det does."""
-    k, d = mono
-    try:
-        det = d * complex(c) ** k
-    except ArithmeticError:
-        return None
-    if 0.0 < math.hypot(det.real, det.imag) < math.inf:
-        return _unchecked_poly({k: det + 0j})
-    return None
 
 
 def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
@@ -1013,11 +1025,12 @@ def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
     inf or nan, without a numpy warning.
 
     |det| is constant on the circle, and the check is one number,
-    0 < |det A(1)| < inf ("|det A(1)| = 0"), when mat carries det as a
-    monomial c u^k, as normal forms and their companions do, or when
-    each row holds one exponent, where it takes det()'s elimination.
+    0 < |c| < inf ("|det A(1)| = 0"), when _monomial_det gives det as
+    the pair (k, c): when mat carries it, as normal forms and their
+    companions do, or when each row holds one exponent, where it takes
+    det()'s elimination.
     """
-    point = (mat._det is not None and mat._det.is_monomial()) or mat._one_point_det()
+    point = mat._monomial_det()
     if point is not None:
         det = math.hypot(point[1].real, point[1].imag)
         return None if 0.0 < det < math.inf else f"|det {name}(1)| = {det:.3g}"

@@ -85,10 +85,8 @@ def winding_on_unit_circle(p, samples=4096):
 def matrix_bytes(m):
     """A LaurentMatrix as stored, to compare bit for bit: lowest exponent,
     shape and bytes of the coefficient array, and the carried det's
-    exponents and coefficient bytes (None when no det is carried)."""
-    det = None if m._det is None else m._det.terms()
-    if det is not None:
-        det = [k for k, _ in det], np.array([c for _, c in det], dtype=complex).tobytes()
+    exponent and coefficient bytes (None when no det is carried)."""
+    det = None if m._det is None else (m._det[0], np.array(m._det[1], dtype=complex).tobytes())
     return m._lo, m._c.shape, m._c.tobytes(), det
 
 

@@ -31,7 +31,13 @@ from torusbundles import (
     tensor,
 )
 from torusbundles.classify import _identity_and_shift, _jordan_block, _twisted_core
-from helpers import matrix_bytes, random_constant_invertible, random_factor, winding_on_unit_circle
+from helpers import (
+    matrix_bytes,
+    random_constant_invertible,
+    random_factor,
+    random_single_exponent_factor,
+    winding_on_unit_circle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +219,13 @@ def test_degree_of_normal_forms_takes_no_determinant(monkeypatch, d):
 def _scaled_core(t, r, d, a):
     """The twisted Jordan core as it was composed: the Jordan factor
     scaled by the monomial phi0^d' = s^-d' u^-d', with its det carried
-    through the validating LaurentPoly constructor."""
+    as the pair (k, c), c through the validating LaurentPoly constructor."""
     h = math.gcd(r, abs(d)) if d else r
     core = jordan_factor_matrix(h, a).scaled(LaurentPoly.monomial(-(d // h), t.s ** -(d // h)))
     pivots = core._c[0].diagonal().tolist() if len(core._c) else [0j]
     det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
     if math.isfinite(math.hypot(det.real, det.imag)):
-        core._det = LaurentPoly({h * core._lo: det})
+        core._det = h * core._lo, LaurentPoly({0: det}).constant_value()
     return r // h, core
 
 
@@ -320,6 +326,80 @@ def test_companion_carries_the_det_of_its_block(rng):
 
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
+def test_normal_forms_carry_the_det_their_elimination_gives(tau):
+    # the pair (k, c) carried by each twisted core and by the companions
+    # of normal_form and atiyah_construct, against a copy that carries
+    # none and so eliminates
+    t = Torus(tau)
+    for r in range(1, 17):
+        for d in range(-8, 9):
+            core = _twisted_core(t, r, d, 0.6 + 0.2j)[1]
+            for m in (core, normal_form(t, r, d, 0.6 + 0.2j).A, atiyah_construct(t, r, d, 0.6 + 0.2j).A):
+                k, c = m._det
+                fresh = LaurentMatrix._from_coeffs(m._lo, m._c.copy(), prune=False)
+                assert fresh._det is None
+                [(want_k, want)] = fresh.det().terms()
+                assert k == want_k and abs(c - want) <= 1e-12 * abs(want)
+
+
+def _degree_through_det(f):
+    """-k of the monomial det() = c u^k, as degree read it before it read
+    the pair."""
+    [(k, _)] = f.A.det().terms()
+    return -k
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
+def test_degree_from_the_pair_is_the_degree_through_det(tau):
+    # normal forms, their Atiyah constructions, and every translate of the
+    # round trip that passes its check, those past a failing one included
+    from torusbundles.laurent import _invertibility_failure
+
+    t = Torus(tau)
+    for r in range(1, 17):
+        for d in range(-8, 9):
+            rp, core = _twisted_core(t, r, d, 0.6 + 0.2j)
+            factors = [normal_form(t, r, d, 0.6 + 0.2j), atiyah_construct(t, r, d, 0.6 + 0.2j)]
+            cover = Torus(rp * tau)
+            translates, _ = core._translate_matrices([t.q ** i for i in range(rp)])
+            factors += [FactorOfAutomorphy(cover, a) for a in translates if _invertibility_failure(a, "A") is None]
+            for f in factors:
+                assert f.A._det is not None
+                assert degree(f) == _degree_through_det(f) == -f.A._det[0]
+
+
+def test_degree_of_single_exponent_factors_reads_the_pair(any_torus, rng, monkeypatch):
+    # the check keeps the elimination's pair, which degree reads without det()
+    calls = []
+    det = LaurentMatrix.det
+    monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append(m.n) or det(m))
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            f = random_single_exponent_factor(rng, any_torus, n)
+            calls.clear()
+            got = degree(f)
+            assert calls == []
+            assert got == _degree_through_det(f)
+
+
+def test_degree_of_a_sampled_det_goes_through_det(torus, rng, monkeypatch):
+    # rows of several exponents carry no pair: degree takes det() once
+    calls = []
+    det = LaurentMatrix.det
+    monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append(m.n) or det(m))
+    sampled = 0
+    for n in (2, 3, 4) * 3:
+        f = random_factor(rng, torus, n)
+        if f.A._monomial_det() is not None:
+            continue
+        calls.clear()
+        assert degree(f) == _degree_through_det(f)
+        assert calls == [n, n] and f.A._det is None
+        sampled += 1
+    assert sampled
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
 def test_degree_zero_forms_are_one_construction(tau):
     # normal_form_deg0 is normal_form at d = 0, which atiyah_construct
     # pushes forward from a cover of degree one: one matrix, one det
@@ -342,10 +422,10 @@ def test_extreme_parameters_keep_the_jordan_form(any_torus, a):
             c = any_torus.s ** -(d // h)
             core = _twisted_core(any_torus, r, d, a)[1]
             assert core._c.shape == (1, h, h) and np.count_nonzero(core._c) == 2 * h - 1
-            [(k, det)] = core._det.terms()
+            k, det = core._det
             assert k == -(d // h) * h and math.isclose(abs(det), abs(c * a) ** h, rel_tol=1e-12)
             f = normal_form(any_torus, r, d, a)
-            assert math.isclose(abs(f.A._det.is_monomial()[1]), abs(det), rel_tol=1e-12)
+            assert math.isclose(abs(f.A._det[1]), abs(det), rel_tol=1e-12)
 
 
 def test_large_degree_zero_parameter_is_one_jordan_block(any_torus):

@@ -253,6 +253,18 @@ def test_recognize_rejects_a_negative_nu_range(capsys, monkeypatch):
     assert err == "ValueError: nu_range must be a non-negative integer, got -1\n"
 
 
+def test_recognize_names_a_power_past_the_double_range(capsys, monkeypatch):
+    # similar to J_3(1), but M^2 holds 1e320: an error, not "not recognized",
+    # and no warning, which the suite turns into an error
+    m = [[1, 1e160, 0], [0, 1, 1e160], [0, 0, 1]]
+    entries = [[{"k": 0, "re": float(v), "im": 0.0}] if v else [] for row in m for v in row]
+    form = json.dumps({"torus": {"tau": [0.0, 1.0]}, "A": {"n": 3, "entries": entries}})
+    code, out, err = run(capsys, monkeypatch, ["recognize"], stdin=form)
+    assert (code, out) == (1, "")
+    assert err == ("ValueError: powers of the matrix minus (1+0j) leave the double range: "
+                   "M^2 is not finite (max |entry| = 1.000e+160)\n")
+
+
 def test_trivial_check_rejects_size3(capsys, monkeypatch):
     t = Torus(1j)
     code, out, err = run(capsys, monkeypatch, ["trivial-check"],

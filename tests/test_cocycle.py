@@ -22,6 +22,7 @@ from torusbundles import (
     jordan_type_unipotent,
     matrices_close,
     normal_form,
+    recognize_deg0,
 )
 
 from torusbundles.cocycle import _is_triangular, _strict_triangles, _walk_powers
@@ -653,25 +654,59 @@ def test_the_walk_leaves_unreached_powers_untaken():
 
 
 @pytest.mark.parametrize("a", [
-    np.diag([1e110] * 3, 1),  # M^3 holds inf in one entry: its SVD gives rank 0
-    np.full((3, 3), 1e120),  # M^3 is all inf: LinAlgError
-    np.diag([1e200, 1e200, 1e-3, 2]),  # M^2 overflows at two entries: LinAlgError
+    np.diag([1e110] * 3, 1),  # M^3 holds inf in one entry
+    np.full((3, 3), 1e120),  # M^3 is all inf
+    np.diag([1e200, 1e200, 1e-3, 2]),  # M^2 overflows at two entries
 ])
 def test_a_non_finite_power_fails_as_in_the_one_power_walk(a):
-    def outcome(walk):
-        try:
-            return walk()
-        except np.linalg.LinAlgError as exc:
-            return str(exc)
-
+    # the one-power walk reaches each power up to the first non-finite
+    # one, M^k, whose SVD read a wrong rank or did not converge; the
+    # batched walk names M^k, whatever its batches, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = outcome(lambda: reference_walk_powers(a.astype(complex), 0j))
-        for mult in (1, len(a)):
-            got = outcome(lambda: _walk_powers(a.astype(complex), 0j, mult))
-            if isinstance(ref, str):
-                assert got == ref == "SVD did not converge"
-            else:
-                _same_walk(got, ref)
+        k = next(k for k in range(1, len(a) + 1) if not np.isfinite(np.linalg.matrix_power(a, k)).all())
+    for mult in (1, len(a)):
+        with pytest.raises(ValueError) as exc:
+            _walk_powers(a.astype(complex), 0j, mult)
+        assert str(exc.value) == (f"powers of the matrix minus 0j leave the double range: "
+                                  f"M^{k} is not finite (max |entry| = {np.abs(a).max():.3e})")
+
+
+def test_jordan_type_walks_from_the_singular_values_of_its_nilpotency_test(monkeypatch):
+    # |M| for the nilpotency test and the walk's first batch size come
+    # from one SVD of M: J_8(1) takes it, the SVD of M^8 and the walk's batch
+    seen = _spy_svd(monkeypatch)
+    assert jordan_type_unipotent(_jordan([(1.0, 8)]), 1.0) == (8,)
+    assert seen == [((8, 8), False), ((8, 8), False), ((8, 8, 8), True)]
+
+
+def test_the_walk_from_given_singular_values_is_the_walk_that_takes_them():
+    for seed in range(36):
+        a, eig = _seeded_walk_inputs(seed)
+        for lam, mult in eig:
+            sing = np.linalg.svd(a - lam * np.eye(len(a)), compute_uv=False)
+            _same_walk(_walk_powers(a, lam, mult, sing), _walk_powers(a, lam, mult))
+
+
+@pytest.mark.parametrize("call", ["recognize_deg0", "equivalent_constant", "jordan_type_unipotent"])
+def test_jordan_callers_raise_for_a_power_past_the_double_range(call):
+    # similar to J_3(1), but M^2 holds 1e320; JSON keeps the ones, which a
+    # constructor that prunes would drop.  The suite turns a warning into
+    # an error
+    m = [[1, 1e160, 0], [0, 1, 1e160], [0, 0, 1]]
+    text = "powers of the matrix minus {} leave the double range: M^{} is not finite (max |entry| = 1.000e+160)"
+    if call == "recognize_deg0":
+        entries = [[{"k": 0, "re": float(v), "im": 0.0}] if v else [] for row in m for v in row]
+        f = factor_from_json({"torus": {"tau": [0.0, 1.0]}, "A": {"n": 3, "entries": entries}})
+        run, want = lambda: recognize_deg0(f), text.format("(1+0j)", 2)
+    elif call == "equivalent_constant":
+        nil = np.diag([1e160, 1e160], 1)
+        run, want = lambda: equivalent_constant(nil, 2 * nil), text.format("0j", 2)
+    else:
+        # the nilpotency test takes M^3 before the walk takes M^2
+        run, want = lambda: jordan_type_unipotent(m, 1.0), text.format("1.0", 3)
+    with pytest.raises(ValueError) as exc:
+        run()
+    assert str(exc.value) == want
 
 
 def test_strict_triangles_are_the_masks_of_tril_and_triu():

@@ -124,14 +124,14 @@ def test_companion_block_layout(torus, rng):
 def _assembled_companion(a, r):
     """[[0, I], [a, 0]] as it was assembled from the blocks I = identity
     of size (r-1) n and a: their block diagonal with its columns rotated
-    by n, and the det (-1)^((r-1) n) det a through the validating
-    LaurentPoly constructor."""
+    by n, and the det (k, (-1)^((r-1) n) c) of a's det (k, c), the
+    coefficient through the validating LaurentPoly constructor."""
     n = a.n
     diag = block_diagonal([LaurentMatrix.identity((r - 1) * n), a])
     want = LaurentMatrix._from_coeffs(diag._lo, np.roll(diag._c, n, axis=2), prune=False)
     if a._det is not None:
-        sign = (-1) ** ((r - 1) * n)
-        want._det = LaurentPoly({k: sign * c for k, c in a._det._c.items()})
+        k, c = a._det
+        want._det = k, LaurentPoly({0: (-1) ** ((r - 1) * n) * c}).constant_value()
     return want
 
 
@@ -339,6 +339,44 @@ def test_roundtrip_takes_one_determinant(rng, monkeypatch):
     assert (dets, eliminations) == ([], [3])
 
 
+@pytest.mark.parametrize("r, d", [(12, 8), (12, -8), (5, 3), (6, 0), (1, 4)])
+def test_a_grid_cell_builds_no_polynomial_and_takes_no_det(monkeypatch, r, d):
+    # the calls of one benchmark grid cell read every det from its pair
+    from torusbundles import atiyah_construct, laurent, normal_form
+
+    calls = []
+    init, unchecked, det_method = LaurentPoly.__init__, laurent._unchecked_poly, LaurentMatrix.det
+    det, pivot_det, fill_diagonal = np.linalg.det, laurent._pivot_det, np.fill_diagonal
+    monkeypatch.setattr(LaurentPoly, "__init__", lambda p, *args: calls.append("poly") or init(p, *args))
+    monkeypatch.setattr(laurent, "_unchecked_poly", lambda terms: calls.append("poly") or unchecked(terms))
+    monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append("det()") or det_method(m))
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append("np.linalg.det") or det(a))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: calls.append("elimination") or pivot_det(m))
+    monkeypatch.setattr(np, "fill_diagonal", lambda *args: calls.append("fill_diagonal") or fill_diagonal(*args))
+    t = Torus(0.3 + 1.1j)
+    rp, core = _twisted_core(t, r, d, 0.6 + 0.2j)
+    ctx = IsogenyContext.for_degree(t, rp)
+    for build in (normal_form, atiyah_construct):
+        assert degree(build(t, r, d, 0.6 + 0.2j)) == d
+    assert len(roundtrip_diag(ctx, FactorOfAutomorphy(ctx.cover, core))) == rp
+    assert calls == []
+
+
+def test_companion_identity_is_the_filled_diagonal():
+    # the kept flat indices put the ones where np.fill_diagonal did, and a
+    # table past TABLE_CAP elements is built on each call, not kept
+    from torusbundles.isogeny import _identity_block
+    from torusbundles.laurent import TABLE_CAP
+
+    for r, n in ((2, 1), (3, 2), (16, 1), (5, 7), (2, 1025)):
+        want = np.zeros((r * n, r * n), dtype=complex)
+        np.fill_diagonal(want[:-n, n:], 1)
+        got = np.zeros_like(want)
+        got.reshape(-1)[_identity_block(r, n)] = 1
+        assert got.tobytes() == want.tobytes()
+        assert _identity_block(r, n).flags.writeable == ((r - 1) * n > TABLE_CAP)
+
+
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j], ids=["square", "generic"])
 def test_translates_carry_the_det_their_elimination_gives(tau):
     # every translate of the twisted Jordan cores of the normal form grid
@@ -360,7 +398,7 @@ def test_translates_carry_the_det_their_elimination_gives(tau):
                 # every translate that passes the check carries its det
                 assert (carried is None) == (verdict is not None)
                 if carried is not None:
-                    [(k, got)] = carried.terms()
+                    k, got = carried
                     [(want_k, want)] = fresh.det().terms()
                     assert k == want_k and abs(got - want) <= 1e-12 * abs(want)
 
@@ -373,7 +411,7 @@ def test_translates_of_random_factors_carry_their_det(any_torus, rng):
             translates, failure = f.A._translate_matrices([q, q ** 2, q ** 3])
             assert failure is None
             for a in translates:
-                [(k, got)] = a._det.terms()
+                k, got = a._det
                 [(want_k, want)] = LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False).det().terms()
                 assert k == want_k and abs(got - want) <= 1e-10 * abs(want)
 

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("ab_rounds.py", [str(ROOT), "--blocks", "2"], "cocycle round of 21 tasks, seed 1, 2 blocks"),
     ("seed_sweep.py", ["--workload", "classify", "--seeds", "0:2"], "classify rounds of seeds 0:2"),
     ("jordan_sweep.py", ["--count", "3"], "26 calls on 3 structures: 2 ArithmeticError, 1 NotNilpotent, 3 descriptor, 8 none, 6 partition, 6 witness"),
+    ("det_digest.py", ["--rmax", "2"], "2280 results on 760 grid points: 57 ValueError, 2223 factors"),
 ])
 def test_script_runs_and_prints_its_header(script, args, header):
     assert _run(script, args).splitlines()[0] == header
