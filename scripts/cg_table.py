@@ -2,10 +2,12 @@
 
 Prints the predicted summand indices for F_p (x) F_q next to the Jordan
 partition actually computed from the Kronecker product of the two
-Jordan blocks, for every p >= q with p + q <= the chosen bound.
+Jordan blocks, for every p >= q with p + q <= the chosen bound, and
+exits 1 when some row disagrees.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -26,10 +28,10 @@ def jordan_ones(torus, n):
     return FactorOfAutomorphy(torus, LaurentMatrix.from_constant(m))
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bound", type=int, default=9, help="max p + q")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     torus = Torus(1j)
     agree = True
@@ -45,7 +47,8 @@ def main() -> None:
             agree = agree and got == want
             print(f"{p:>3} {q:>3}   {str(want):<20} {str(got):<20}{mark}")
     print("\nall rows agree" if agree else "\nsome rows disagree")
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

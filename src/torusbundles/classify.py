@@ -29,7 +29,6 @@ from .laurent import (
     Torus,
     _check_integer,
     _integer_from_json,
-    _kept_tables,
 )
 from .cocycle import FactorOfAutomorphy, _is_triangular, _walk_powers
 from .isogeny import IsogenyContext, companion_block, pushforward
@@ -102,22 +101,21 @@ def reduce_param(t: Torus, a: complex, max_power: Optional[int] = None) -> compl
     return out
 
 
-@_kept_tables(lambda r: 2 * r * r)
-def _identity_and_shift(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.eye(r) and np.eye(r, k=1), complex: the diagonal and the ones
-    above it of a Jordan block."""
-    return np.eye(r, dtype=complex), np.eye(r, k=1, dtype=complex)
-
-
 def _jordan_block(r: int, a: complex) -> np.ndarray:
-    """The r x r array of A_r(a): a on the diagonal, 1 above it, from the
-    kept identity and shift of _identity_and_shift."""
-    eye, shift = _identity_and_shift(r)
-    return complex(a) * eye + shift
+    """The r x r array of A_r(a): a + 0j on the diagonal, which stores a
+    zero part as +0, and 1 above it, written into one zeroed array.  An
+    a whose modulus is not finite raises ValueError."""
+    a = complex(a) + 0j
+    if not math.hypot(a.real, a.imag) < math.inf:
+        raise ValueError(f"non-finite coefficient in a {r} x {r} matrix")
+    out = np.zeros(r * r, dtype=complex)
+    out[::r + 1], out[1::r + 1] = a, 1
+    return out.reshape(r, r)
 
 
 def jordan_factor_matrix(r: int, a: complex) -> LaurentMatrix:
-    """The constant Jordan block A_r(a): a on the diagonal, 1 above it."""
+    """The constant Jordan block A_r(a): a on the diagonal, 1 above it.
+    An a whose modulus is not finite raises ValueError."""
     r = _check_integer(r, "need r >= 1", 1)
     return LaurentMatrix._from_coeffs(0, _jordan_block(r, a)[None], prune=False)
 

@@ -177,8 +177,8 @@ def is_trivial_rank1_constant(f: FactorOfAutomorphy, nu_range: int = 10) -> Opti
 
     The line bundle with constant factor a is trivial exactly when a is a
     power of q; returns the exponent nu with |nu| <= nu_range when
-    |a - q^nu| <= 1e-8 |q^nu|, else None.  nu_range must be a
-    non-negative integer.
+    |a - q^nu| <= 1e-8 |q^nu|, skipping the q^nu past the double range,
+    else None.  nu_range must be a non-negative integer.
     """
     nu_range = _check_integer(nu_range, "nu_range must be a non-negative integer", 0)
     if f.A.n != 1:
@@ -189,9 +189,12 @@ def is_trivial_rank1_constant(f: FactorOfAutomorphy, nu_range: int = 10) -> Opti
     a = e.constant_value()
     q = f.torus.q
     for nu in range(-nu_range, nu_range + 1):
-        target = q ** nu
-        if abs(a - target) <= 1e-8 * abs(target):
-            return nu
+        try:
+            target = q ** nu
+            if abs(a - target) <= 1e-8 * abs(target):
+                return nu
+        except ArithmeticError:  # q^nu, or its modulus, is past the double range
+            continue
     return None
 
 

@@ -8,9 +8,10 @@ cocycle.
 
 Symmetric and exterior powers sample A on the roots of unity of d times
 its exponent window, build the induced matrices of all samples in one
-batch and interpolate (LaurentMatrix._sampled).  Their gather tables and
-index sets are constants of the rank and degree, kept as the root tables
-are (laurent._kept_tables).
+batch and interpolate (LaurentMatrix._sampled).  The gather tables of
+the symmetric powers are constants of the rank and degree, kept as the
+root tables are (laurent._kept_tables); the index sets of the exterior
+powers are listed on each call.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ def wedge_power(f: FactorOfAutomorphy, k: int) -> FactorOfAutomorphy:
     return _sampled_functor(f, k, apply, (math.comb(n, k) * k) ** 2)
 
 
-@_kept_tables(lambda n, k: math.comb(n, k) * k)
 def _index_sets(n: int, k: int) -> np.ndarray:
     """The k-element subsets of range(n) in lexicographic order, one per
     row, shape (comb(n, k), k)."""

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .laurent import LaurentMatrix, Torus, _check_budget, _check_integer, _kept_tables, _require_same_torus
+from .laurent import LaurentMatrix, Torus, _check_integer, _companion, _require_same_torus
 from .cocycle import FactorOfAutomorphy, iterate
 
 __all__ = [
@@ -61,35 +59,20 @@ def pullback(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:
     return FactorOfAutomorphy(ctx.cover, iterate(f, ctx.r))
 
 
-@_kept_tables(lambda r, n: (r - 1) * n)
-def _identity_block(r: int, n: int) -> np.ndarray:
-    """The flat indices, in one rn x rn coefficient slice, of the ones of
-    the identity block I of [[0, I], [a, 0]]: (i, i + n), i < (r-1) n."""
-    i = np.arange((r - 1) * n)
-    return i * (r * n + 1) + n
-
-
 def companion_block(a: LaurentMatrix, r: int) -> LaurentMatrix:
     """The block cyclic matrix [[0, I], [a, 0]] with I of size (r-1) * n.
 
-    For r = 1 this is just ``a``.  Else the identity, through the kept
-    flat indices of _identity_block, and a are written into one zeroed
-    (K, rn, rn) array, no pruning, which a window past SAMPLE_BUDGET
-    refuses with ValueError before allocation.  When a carries det
-    (k, c), the companion carries (k, (-1)^((r-1) n) c), so its
-    invertibility check and det() take no determinant.
+    For r = 1 this is just ``a``.  Else laurent._companion writes the
+    identity and a into one zeroed (K, rn, rn) array, no pruning, which
+    a window past SAMPLE_BUDGET refuses with ValueError before
+    allocation.  When a carries det (k, c), the companion carries
+    (k, (-1)^((r-1) n) c), so its invertibility check and det() take no
+    determinant.
     """
     r = _check_integer(r, "need r >= 1", 1)
     if r == 1:
         return a
-    n, k = a.n, len(a._c)
-    # a zero a has _lo = 0 and K = 0, so it adds nothing to the window
-    lo, hi = min(0, a._lo), max(1, a._lo + k)
-    _check_budget("exponent", hi - lo, (r * n) ** 2)
-    out = np.zeros((hi - lo, r * n, r * n), dtype=complex)
-    out[-lo].reshape(-1)[_identity_block(r, n)] = 1
-    out[a._lo - lo:a._lo - lo + k, -n:, :n] = a._c
-    return LaurentMatrix._from_coeffs(lo, out, prune=False)._carry_companion_det(a, r)
+    return _companion(a, r)
 
 
 def pushforward(ctx: IsogenyContext, f: FactorOfAutomorphy) -> FactorOfAutomorphy:

@@ -31,12 +31,13 @@ taken inside the stack's guard.
 
 A matrix may carry its det c u^k as the pair (k, c), set by how it was
 built: a matrix with one exponent per row keeps _one_point_det's
-elimination, a triangular normal form core and its block companion
-carry theirs (_carry_triangular_det, _carry_companion_det), and outside
-iterate, whose translates are intermediates, a translate that loses no
-coefficient keeps its base's window and carries d c^k when the base
-carries (k, d).  The invertibility check and classify.degree read the
-pair, and det() builds its LaurentPoly from it only when asked.
+elimination, a triangular normal form core carries its own
+(_carry_triangular_det), a block companion the one its layout implies
+(_companion), and outside iterate, whose translates are intermediates,
+a translate that loses no coefficient keeps its base's window and
+carries d c^k when the base carries (k, d).  The invertibility check
+and classify.degree read the pair, and det() builds its LaurentPoly
+from it only when asked.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -46,11 +47,11 @@ takes no FFT and stays exact.  SAMPLE_BUDGET caps the size of a window,
 and of the coefficient array of a matrix built from rows or blocks or
 taken as a sum, whose window spans only its nonzero operands.
 
-The root tables exp(2 pi i t e / W) of the sampled path, and the index
-tables of the symmetric and exterior powers, are constants of shape: a
-table of at most TABLE_CAP elements is built once, made read-only and
-kept, at most TABLES_KEPT of each kind (_kept_tables); a larger one is
-built on each call.  No result, det or verdict is kept.
+The root tables exp(2 pi i t e / W) of the sampled path, and the gather
+tables of the symmetric powers, are constants of shape: a table of at
+most TABLE_CAP elements is built once, made read-only and kept, at most
+TABLES_KEPT of each kind (_kept_tables); a larger one is built on each
+call.  No result, det or verdict is kept.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class LaurentPoly:
         if not coeffs:
             self._c = {}
             return
-        c, low, top = _finite_terms(coeffs)
+        c, low, top = _finite_terms(coeffs.items())
         if low <= PRUNE_REL * top:
             threshold = PRUNE_REL * max(abs(v) for v in c.values())
             c = {k: v for k, v in c.items() if abs(v) > threshold}
@@ -331,15 +332,15 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _finite_terms(coeffs: Mapping[int, complex]) -> tuple[dict[int, complex], float, float]:
-    """The nonzero terms of ``coeffs`` for the LaurentPoly constructor,
+def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[dict[int, complex], float, float]:
+    """The nonzero terms of the (exponent, coefficient) ``pairs``,
     repeated exponents summed, with the smallest and largest modulus
     among them; a repeated exponent sets the smallest to 0, as its sum
     may cancel.  A non-integer exponent raises TypeError, a non-finite
     modulus ValueError."""
     c: dict[int, complex] = {}
     low, top = math.inf, 0.0
-    for k, v in coeffs.items():
+    for k, v in pairs:
         if type(k) is int:
             e = k
         elif isinstance(k, (int, np.integer)):
@@ -752,8 +753,8 @@ class LaurentMatrix:
         """The det c u^k as the pair (k, c), when it is known without
         sampling: the pair the matrix carries, or else _one_point_det's.
         A pair is carried, with a finite modulus and any zero part stored
-        as +0, by _one_point_det, _carry_triangular_det,
-        _carry_companion_det and _translate_matrices; a zero det is the
+        as +0, by _one_point_det, _carry_triangular_det, _companion and
+        _translate_matrices; a zero det is the
         pair (k, 0j).  An elimination whose modulus is not finite is
         returned but not carried.  None when no pair is carried and some
         row holds more than one exponent."""
@@ -790,20 +791,6 @@ class LaurentMatrix:
         det = 0j if 0 in pivots else math.prod(pivots, start=1.0 + 0j)
         if math.isfinite(math.hypot(det.real, det.imag)):
             self._det = self.n * self._lo, det + 0j
-        return self
-
-    def _carry_companion_det(self, a: "LaurentMatrix", r: int) -> "LaurentMatrix":
-        """Carry det on this matrix, companion_block(a, r), when a carries
-        det (k, c), and return it: det = (k, (-1)^((r-1) n) c), n = a.n.
-        For a triangular a as above, elimination takes a's diagonal and
-        then ones as pivots, with a sign change at each row swap; that
-        differs from the sign times c at most in the sign of a zero part,
-        which + 0j stores as +0, so the det is det()'s bit for bit.  For
-        other a it is det() up to rounding.
-        """
-        if a._det is not None:
-            k, c = a._det
-            self._det = k, (-1) ** ((r - 1) * a.n) * c + 0j
         return self
 
     def inverse_monomial_det(self) -> "LaurentMatrix":
@@ -1011,6 +998,28 @@ def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     return LaurentMatrix._from_coeffs(lo, out, prune=False)
 
 
+def _companion(a: LaurentMatrix, r: int) -> LaurentMatrix:
+    """isogeny.companion_block(a, r) for r >= 2, carrying the det
+    (k, (-1)^((r-1) n) c) when the n x n matrix a carries (k, c).  For a
+    triangular a, elimination takes a's diagonal and then ones as
+    pivots, with a sign change at each row swap; that differs from the
+    sign times c at most in the sign of a zero part, which + 0j stores
+    as +0, so the det is det()'s bit for bit.  For other a it is det()
+    up to rounding."""
+    n, k, size = a.n, len(a._c), r * a.n
+    # a zero a has _lo = 0 and K = 0, so it adds nothing to the window
+    lo, hi = min(0, a._lo), max(1, a._lo + k)
+    _check_budget("exponent", hi - lo, size * size)
+    out = np.zeros((hi - lo, size, size), dtype=complex)
+    # the ones (i, i + n), i < (r-1) n, at the flat indices n + i (rn + 1)
+    out[-lo].reshape(-1)[n:(r - 1) * n * (size + 1):size + 1] = 1
+    out[a._lo - lo:a._lo - lo + k, -n:, :n] = a._c
+    m = LaurentMatrix._from_coeffs(lo, out, prune=False)
+    if a._det is not None:
+        m._det = a._det[0], (-1) ** ((r - 1) * n) * a._det[1] + 0j
+    return m
+
+
 def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
     """The sampled invertibility check of u -> mat(u) on C*: None when
     it passes, else the determinants it took, as text naming mat
@@ -1070,8 +1079,12 @@ def terms_to_json(terms: Iterable[tuple[int, complex]]) -> list[dict]:
 
 
 def terms_from_json(terms: list) -> LaurentPoly:
-    """The LaurentPoly of a JSON term list; exponents must be integers."""
-    return LaurentPoly({_integer_from_json(t["k"], "exponent"): complex(float(t["re"]), float(t["im"])) for t in terms})
+    """The LaurentPoly of a JSON term list, every nonzero term kept and
+    none pruned; exponents must be integers, and repeated ones are summed."""
+    c, _, _ = _finite_terms([(_integer_from_json(t["k"], "exponent"), complex(float(t["re"]), float(t["im"])))
+                             for t in terms])
+    # a second pass checks each sum, which may leave the double range, and drops those that cancel
+    return _unchecked_poly(_finite_terms(c.items())[0])
 
 
 def matrix_to_json(mat: LaurentMatrix) -> dict:

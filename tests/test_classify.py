@@ -30,7 +30,7 @@ from torusbundles import (
     reduce_param,
     tensor,
 )
-from torusbundles.classify import _identity_and_shift, _jordan_block, _twisted_core
+from torusbundles.classify import _jordan_block, _twisted_core
 from helpers import (
     matrix_bytes,
     random_constant_invertible,
@@ -569,18 +569,18 @@ def test_recognize_nu_range_must_be_a_non_negative_integer(torus, nu_range):
     assert recognize_deg0(f, nu_range=np.int64(0)).rank == 2
 
 
-def test_jordan_blocks_read_kept_identity_and_shift():
+def test_jordan_blocks_are_the_scaled_identity_plus_the_shift():
     for r in (1, 2, 7, 22, 23, 40):
-        eye, shift = _identity_and_shift(r)
-        assert eye.dtype == shift.dtype == complex
-        assert eye.tobytes() == np.eye(r, dtype=complex).tobytes()
-        assert shift.tobytes() == np.eye(r, k=1, dtype=complex).tobytes()
         for a in (0.6 + 0.2j, -1.3 - 0j, 1e-13, complex(-0.0, 2.0)):
             block = _jordan_block(r, a)
             assert block.flags.writeable
             assert block.tobytes() == (complex(a) * np.eye(r, dtype=complex) + np.eye(r, k=1, dtype=complex)).tobytes()
-    assert not _identity_and_shift(22)[0].flags.writeable
-    assert _identity_and_shift(23)[0].flags.writeable  # 2 r^2 > TABLE_CAP: built per call
+
+
+@pytest.mark.parametrize("a", [math.nan, complex(0.5, math.inf), 1.5e308 + 1.5e308j])
+def test_jordan_blocks_reject_a_non_finite_parameter(a):
+    with pytest.raises(ValueError, match="^non-finite coefficient in a 2 x 2 matrix$"):
+        jordan_factor_matrix(2, a)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,15 @@ def test_trivial_check_rejects_a_negative_nu_range(capsys, monkeypatch):
     assert json.loads(out) == {"family": "rank1-constant", "trivial": True, "nu": 1}
 
 
+def test_trivial_check_takes_a_nu_range_past_the_double_range(capsys, monkeypatch):
+    # q^-200 overflows on this torus; the powers past the range are skipped
+    t = Torus(0.3 + 1.1j)
+    payload = _factor_json_text(t, LaurentMatrix([[LaurentPoly.constant(t.q ** 3)]]))
+    code, out, _ = run(capsys, monkeypatch, ["trivial-check", "--nu-range", "200"], stdin=payload)
+    assert code == 0
+    assert json.loads(out) == {"family": "rank1-constant", "trivial": True, "nu": 3}
+
+
 def test_recognize_rejects_a_negative_nu_range(capsys, monkeypatch):
     code, form, _ = run(capsys, monkeypatch, ["deg0-form", "--tau", "0+1i", "-r", "3", "-a", "0.6+0.2i"])
     assert code == 0

@@ -431,6 +431,16 @@ def test_trivial_rank1_nu_range_must_be_a_non_negative_integer(torus, nu_range):
     assert is_trivial_rank1_constant(f, nu_range=np.int64(1)) == 1
 
 
+@pytest.mark.parametrize("tau, nu, nu_range", [(1j, 0, 113), (1j, 0, 2000), (0.3 + 1.1j, 3, 200), (3j, -5, 50)])
+def test_trivial_rank1_skips_powers_past_the_double_range(tau, nu, nu_range):
+    # q^-113 overflows on tau = i; on tau = 3i, q^50 underflows to 0, so
+    # q^-50 divides by zero
+    t = Torus(tau)
+    f = FactorOfAutomorphy(t, LaurentMatrix([[t.q ** nu]]))
+    assert is_trivial_rank1_constant(f, nu_range=nu_range) == nu
+    assert is_trivial_rank1_constant(FactorOfAutomorphy(t, LaurentMatrix([[2.0]])), nu_range=nu_range) is None
+
+
 def test_trivial_rank1_validation(torus):
     with pytest.raises(ValueError):
         is_trivial_rank1_constant(FactorOfAutomorphy(torus, LaurentMatrix.identity(2)))

@@ -11,17 +11,20 @@ from torusbundles import (
     FactorOfAutomorphy,
     LaurentMatrix,
     LaurentPoly,
+    Torus,
     clebsch_gordan_F,
+    degree,
     dual,
     iterate,
     jordan_type_unipotent,
     matrices_close,
+    normal_form,
     sym_power,
     tensor,
     wedge_power,
 )
 from torusbundles.laurent import SAMPLE_BUDGET
-from torusbundles.functors import _index_sets, _sym_step
+from torusbundles.functors import _sym_step
 from helpers import (
     matrix_bytes,
     random_constant_invertible,
@@ -263,14 +266,14 @@ def test_functors_match_tables_built_per_call(torus, rng):
 
 
 def test_kept_index_tables_are_read_only_and_capped():
-    for table in (_index_sets(4, 2), *_sym_step(3, 2)):
+    for table in _sym_step(3, 2):
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
-    assert _index_sets(4, 2) is _index_sets(4, 2)
-    kept = _index_sets.cache_info().currsize
-    wide = _index_sets(12, 6)  # 924 sets of 6, past TABLE_CAP
-    assert wide.shape == (924, 6) and wide.flags.writeable
-    assert _index_sets.cache_info().currsize == kept
+    assert _sym_step(3, 2) is _sym_step(3, 2)
+    kept = _sym_step.cache_info().currsize
+    wide = _sym_step(10, 4)  # 12 x 715 elements, past TABLE_CAP
+    assert wide[0].shape == (10, 715, 1) and wide[0].flags.writeable
+    assert _sym_step.cache_info().currsize == kept
 
 
 def test_functors_sample_the_factor_once(torus, rng, monkeypatch):
@@ -384,3 +387,74 @@ def test_tensor_of_unipotents_matches_table(torus):
         g = _const_factor(torus, _jordan_ones(q))
         parts = jordan_type_unipotent(tensor(f, g).A.constant_matrix())
         assert list(parts) == clebsch_gordan_F(p, q)
+
+
+# ---------------------------------------------------------------------------
+# Atiyah's invariants of the functors on normal forms
+# ---------------------------------------------------------------------------
+
+_TAUS = {"square": 1j, "generic": 0.3 + 1.1j}
+_GRID = [(name, r, d) for name in _TAUS for r in range(1, 7) for d in range(-6, 7)]
+_PARTNERS = [(1, 1), (2, -1), (2, 0), (3, 2)]
+
+# The k, by torus and (r, d), whose Sym^k the sampled result's matrix-wide
+# prune breaks: it deletes true coefficients, each row keeps one exponent,
+# and A(1) is singular, so the factor is refused (ROADMAP items 1 and 10)
+_SYM_REFUSED = {
+    "square": {
+        (2, -5): (2, 3, 4), (2, -3): (3, 4), (2, 3): (4,), (2, 5): (2, 3, 4), (3, -5): (2, 3, 4),
+        (3, -4): (3, 4), (3, 4): (3, 4), (3, 5): (2, 3, 4), (4, -6): (3, 4), (4, -5): (2, 3, 4),
+        (4, -3): (3, 4), (4, 3): (4,), (4, 5): (2, 3, 4), (4, 6): (3, 4), (5, -6): (2, 3),
+        (5, -4): (3,), (5, -3): (3,), (5, 4): (3,), (5, 6): (2, 3), (6, -5): (2,), (6, 5): (2,),
+    },
+    "generic": {
+        (2, -5): (2, 3, 4), (2, -3): (3, 4), (2, 3): (3, 4), (2, 5): (2, 3, 4), (3, -5): (2, 3, 4),
+        (3, -4): (2, 3, 4), (3, -2): (4,), (3, 4): (3, 4), (3, 5): (2, 3, 4), (4, -6): (3, 4),
+        (4, -5): (2, 3, 4), (4, -3): (3, 4), (4, 3): (3, 4), (4, 5): (2, 3, 4), (4, 6): (3, 4),
+        (5, -6): (2, 3), (5, -4): (2, 3), (5, -3): (3,), (5, 3): (3,), (5, 4): (3,), (5, 6): (2, 3),
+        (6, -5): (2,), (6, 5): (2,),
+    },
+}
+_SYM_PRUNE_FAULT = pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="the sampled result's prune leaves A(1) singular (ROADMAP items 1 and 10)")
+
+
+def _atiyah_form(name, r, d, a=0.6 + 0.2j):
+    return normal_form(Torus(_TAUS[name]), r, d, a)
+
+
+def _sym_cases():
+    for name, r, d in _GRID:
+        for k in range(2, 5):
+            if math.comb(r + k - 1, k) <= 40:
+                refused = k in _SYM_REFUSED[name].get((r, d), ())
+                yield pytest.param(name, r, d, k, marks=[_SYM_PRUNE_FAULT] if refused else [])
+
+
+@pytest.mark.parametrize("name, r, d, k", list(_sym_cases()))
+def test_sym_power_of_a_normal_form_has_atiyahs_degree(name, r, d, k):
+    f = sym_power(_atiyah_form(name, r, d), k)
+    assert (f.rank, degree(f)) == (math.comb(r + k - 1, k), d * math.comb(r + k - 1, r))
+
+
+@pytest.mark.parametrize("name, r, d", _GRID)
+def test_wedge_power_of_a_normal_form_has_atiyahs_degree(name, r, d):
+    e = _atiyah_form(name, r, d)
+    for k in range(2, min(r, 4) + 1):
+        f = wedge_power(e, k)
+        assert (f.rank, degree(f)) == (math.comb(r, k), d * math.comb(r - 1, k - 1))
+
+
+@pytest.mark.parametrize("name, r, d", _GRID)
+def test_dual_of_a_normal_form_has_atiyahs_degree(name, r, d):
+    f = dual(_atiyah_form(name, r, d))
+    assert (f.rank, degree(f)) == (r, -d)
+
+
+@pytest.mark.parametrize("name, r, d", _GRID)
+def test_tensor_of_normal_forms_has_atiyahs_degree(name, r, d):
+    e = _atiyah_form(name, r, d)
+    for rp, dp in _PARTNERS:
+        f = tensor(e, _atiyah_form(name, rp, dp, 0.9 - 0.1j))
+        assert (f.rank, degree(f)) == (r * rp, rp * d + r * dp)

@@ -765,3 +765,25 @@ def test_json_reads_an_integral_float_exponent():
     m = matrix_from_json({"n": 1, "entries": [[{"k": 2.0, "re": 1.5, "im": 0.0}]]})
     [(k, c)] = m.entry(0, 0).terms()
     assert (type(k), k, c) == (int, 2, 1.5)
+
+
+def test_json_round_trip_keeps_every_term_of_an_iterate():
+    # (2 + u) iterated 8 times on tau = i runs from 256 down to 3.9e-77:
+    # reading it back prunes none of its terms against the largest
+    f = FactorOfAutomorphy(Torus(1j), LaurentMatrix([[LaurentPoly({0: 2.0, 1: 1.0})]]))
+    m = iterate(f, 8)
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert len(m._c) == 9
+    assert (back._lo, back._c.tobytes()) == (m._lo, m._c.tobytes())
+
+
+def test_json_terms_sum_repeated_exponents_and_drop_exact_zeros():
+    terms = [{"k": 1, "re": 1.0, "im": 0.0}, {"k": 1, "re": -1.0, "im": 0.0}, {"k": 0, "re": 2.0, "im": 0.0},
+             {"k": 2, "re": 1e-20, "im": -0.0}, {"k": 3, "re": 0.0, "im": 0.0}]
+    assert laurent.terms_from_json(terms).terms() == [(0, 2.0), (2, 1e-20)]
+    with pytest.raises(ValueError, match="^non-finite coefficient"):
+        laurent.terms_from_json([{"k": 0, "re": math.inf, "im": 0.0}])
+    with pytest.raises(ValueError, match=r"^non-finite coefficient \(inf\+0j\) at exponent 0$"):
+        laurent.terms_from_json([{"k": 0, "re": 1e308, "im": 0.0}, {"k": 0, "re": 1e308, "im": 0.0}])
+    with pytest.raises(ValueError, match="^exponent must be an integer, got 0.5$"):
+        laurent.terms_from_json([{"k": 0.5, "re": 1.0, "im": 0.0}])

@@ -1,6 +1,7 @@
 """Smoke tests of the example scripts: each runs on small arguments in a
 fresh interpreter, exits 0 and prints its header line."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -58,3 +59,17 @@ def test_jordan_sweep_prints_one_digest_of_its_results():
     lines = _run("jordan_sweep.py", ["--count", "3"]).splitlines()
     assert len(lines) == 2 and re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1]), lines
     assert _run("jordan_sweep.py", ["--count", "3"]).splitlines() == lines
+
+
+def test_cg_table_exits_1_when_a_row_disagrees(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("cg_table", ROOT / "scripts" / "cg_table.py")
+    cg_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cg_table)
+    assert cg_table.main(["--bound", "4"]) == 0
+    assert capsys.readouterr().out.endswith("\nall rows agree\n")
+    # a wrong rule for F_2 (x) F_2, whose partition is (3, 1)
+    monkeypatch.setattr(cg_table, "clebsch_gordan_F", lambda p, q: [p * q])
+    assert cg_table.main(["--bound", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "  2   2   [4]                  [3, 1]                 <-- MISMATCH" in out.splitlines()
+    assert out.endswith("\nsome rows disagree\n")
