@@ -3,26 +3,27 @@
 For each pair the script builds the canonical indecomposable factor for
 a random parameter, recomputes rank and degree from the matrix, and
 compares the direct construction against the route through the isogeny
-cover. Any disagreement prints loudly; the summary table shows the
-block data h = gcd(r, d), r' = r/h.
+cover. Any disagreement prints loudly and makes the script exit 1; the
+summary table shows the block data h = gcd(r, d), r' = r/h.
 """
 
 import argparse
 import cmath
 import math
+import sys
 
 import numpy as np
 
 from torusbundles import Torus, atiyah_construct, degree, normal_form, rank
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tau", type=complex, default=0.3 + 1.1j)
     ap.add_argument("--rmax", type=int, default=6)
     ap.add_argument("--dmax", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     torus = Torus(args.tau)
     rng = np.random.default_rng(args.seed)
@@ -43,7 +44,8 @@ def main() -> None:
             print(f"{r:>3} {d:>4} {h:>3} {r // h:>7} {str(got_d == d):>7} {diff:>12.3e}"
                   + ("   <-- MISMATCH" if not ok else ""))
     print(f"\n{bad} mismatches over the grid")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

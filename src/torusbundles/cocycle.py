@@ -178,7 +178,8 @@ def is_trivial_rank1_constant(f: FactorOfAutomorphy, nu_range: int = 10) -> Opti
     The line bundle with constant factor a is trivial exactly when a is a
     power of q; returns the exponent nu with |nu| <= nu_range when
     |a - q^nu| <= 1e-8 |q^nu|, skipping the q^nu past the double range,
-    else None.  nu_range must be a non-negative integer.
+    else None.  nu_range must be a non-negative integer; for 0 < |q| < 1
+    it is cut to the nu where q^nu can match a finite nonzero a.
     """
     nu_range = _check_integer(nu_range, "nu_range must be a non-negative integer", 0)
     if f.A.n != 1:
@@ -188,6 +189,9 @@ def is_trivial_rank1_constant(f: FactorOfAutomorphy, nu_range: int = 10) -> Opti
         raise ValueError(f"expected a constant factor, got {e}")
     a = e.constant_value()
     q = f.torus.q
+    if 0 < abs(q) < 1:
+        # a match needs |log|q^nu|| <= log(2 / 5e-324) = 745.1, past log(max double) = 709.8
+        nu_range = min(nu_range, 2 + int((math.log(2) - math.log(math.ulp(0.0))) / -math.log(abs(q))))
     for nu in range(-nu_range, nu_range + 1):
         try:
             target = q ** nu

@@ -10,9 +10,9 @@ Entries are Laurent polynomials in one variable u: exact integer
 exponents, double precision complex coefficients.  Sums, sampled
 results and matrices built from user rows drop coefficients below
 ``PRUNE_REL`` times the largest of the matrix, so supports stay finite.
-Products (@, kron) are never pruned: their small coefficients at high
-or low exponents dominate off the unit circle.  Nor are exact results:
-products by a monomial c u^k, substitutions u -> c u and assemblies.
+Products (@, kron, so a scalar multiple [[c]] (x) A) are never pruned:
+their small coefficients at high or low exponents dominate off the unit
+circle.  Nor are exact results: substitutions u -> c u and assemblies.
 
 A scalar is a LaurentPoly, a dict from exponent to coefficient, built
 in one pass over its terms: _finite_terms checks each term and keeps
@@ -43,9 +43,9 @@ det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
 unity of a support window known in advance, apply a batched numeric map
 to all samples, and interpolate by an inverse FFT.  A one-point window
-takes no FFT and stays exact.  SAMPLE_BUDGET caps the size of a window,
-and of the coefficient array of a matrix built from rows or blocks or
-taken as a sum, whose window spans only its nonzero operands.
+takes no FFT and stays exact.  SAMPLE_BUDGET caps a window (_at_roots)
+and the coefficient array of a matrix built from rows or blocks or taken
+as a sum, whose window spans only its nonzero operands.
 
 The root tables exp(2 pi i t e / W) of the sampled path, and the gather
 tables of the symmetric powers, are constants of shape: a table of at
@@ -212,8 +212,8 @@ class LaurentPoly:
             self._c = {}
             return
         c, low, top = _finite_terms(coeffs.items())
-        if low <= PRUNE_REL * top:
-            threshold = PRUNE_REL * max(abs(v) for v in c.values())
+        threshold = PRUNE_REL * top
+        if low <= threshold:
             c = {k: v for k, v in c.items() if abs(v) > threshold}
         self._c = c
 
@@ -335,11 +335,12 @@ class LaurentPoly:
 def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[dict[int, complex], float, float]:
     """The nonzero terms of the (exponent, coefficient) ``pairs``,
     repeated exponents summed, with the smallest and largest modulus
-    among them; a repeated exponent sets the smallest to 0, as its sum
-    may cancel.  A non-integer exponent raises TypeError, a non-finite
-    modulus ValueError."""
+    among them.  A non-integer exponent raises TypeError, a non-finite
+    modulus ValueError; the sums of repeated exponents are read again as
+    terms, so each is checked and one that cancels is dropped."""
     c: dict[int, complex] = {}
     low, top = math.inf, 0.0
+    repeated = False
     for k, v in pairs:
         if type(k) is int:
             e = k
@@ -357,7 +358,7 @@ def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[dict[int, compl
         if a:
             if e in c:
                 c[e] += v
-                low = 0.0
+                repeated = True
             else:
                 # 0j + v stores a zero part as +0
                 c[e] = 0j + v
@@ -365,6 +366,8 @@ def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[dict[int, compl
                     low = a
                 if a > top:
                     top = a
+    if repeated:
+        return _finite_terms(c.items())
     return c, low, top
 
 
@@ -556,16 +559,9 @@ class LaurentMatrix:
         return LaurentMatrix._from_coeffs(self._lo + other._lo, out, prune=False)
 
     def scaled(self, factor) -> "LaurentMatrix":
-        """Multiply every entry by a scalar or a LaurentPoly."""
-        mono = self._coerce(factor).is_monomial()
-        if mono is None:
-            return LaurentMatrix([[factor]]).kron(self)
-        # c u^k is exact, so no prune; adding 0 turns the signed zeros the
-        # product can leave into +0, as the sum in kron does
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = mono[1] * self._c + 0
-            _check_moduli(out)
-        return LaurentMatrix._from_coeffs(self._lo + mono[0], out, prune=False)
+        """Multiply every entry by a scalar or a LaurentPoly: the
+        Kronecker product [[factor]] (x) self, not pruned."""
+        return LaurentMatrix([[factor]]).kron(self)
 
     def substitute_scaled(self, c: complex) -> "LaurentMatrix":
         """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k.
@@ -689,7 +685,7 @@ class LaurentMatrix:
         last = len(live) - 1 - live[::-1].argmax(axis=0)
         return self._lo + first, self._lo + last
 
-    def _at_roots(self, width: int) -> np.ndarray:
+    def _at_roots(self, width: int, size: int = 0) -> np.ndarray:
         """Values at the roots of unity exp(2 pi i t / width), shape
         (width, n, n); the one root of a one-point window is u = 1, where
         the value is the sum of the coefficient slices.  More than width
@@ -697,8 +693,12 @@ class LaurentMatrix:
         exponents, by sums over views of the array, so the root table is
         at most width x width and no copy of the array is taken.  The
         table is _root_table's for lo mod width: t e mod width, and so
-        every sample, does not change when lo does by a multiple of width."""
+        every sample, does not change when lo does by a multiple of width.
+        A root table (width x min(K, width)), samples (width x n^2) or
+        ``size`` elements per sample of the caller's map past SAMPLE_BUDGET
+        raise ValueError before anything is allocated."""
         c, n = self._c, self.n
+        _check_budget("sampling", width, max(min(len(c), width), n * n, size))
         if width == 1:
             return c.sum(axis=0)[None]
         k = len(c)
@@ -717,14 +717,11 @@ class LaurentMatrix:
         recovers the coefficients.  A one-point window takes no FFT, so
         an exact ``apply`` gives exact coefficients.  Overflow gives inf
         or nan, without a numpy warning, for the result's constructor to
-        reject.  A root table (W x min(K, W)), samples (W x n^2) or ``size``
-        elements per sample of ``apply`` past SAMPLE_BUDGET raise
-        ValueError before anything is allocated.
+        reject.  _at_roots budgets ``size`` elements per sample of apply.
         """
         width = hi - lo + 1
-        _check_budget("sampling", width, max(min(len(self._c), width), self.n ** 2, size))
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = apply(self._at_roots(width))
+            vals = apply(self._at_roots(width, size))
             if width == 1:
                 return vals
             return (np.fft.fft(vals, axis=0) / width)[(lo + np.arange(width)) % width]
@@ -1043,7 +1040,6 @@ def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
     if point is not None:
         det = math.hypot(point[1].real, point[1].imag)
         return None if 0.0 < det < math.inf else f"|det {name}(1)| = {det:.3g}"
-    _check_budget("sampling", INVERTIBILITY_SAMPLES, max(min(len(mat._c), INVERTIBILITY_SAMPLES), mat.n ** 2))
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.abs(np.linalg.det(mat._at_roots(INVERTIBILITY_SAMPLES)))
     low, top = float(dets.min()), float(dets.max())
@@ -1080,20 +1076,15 @@ def terms_to_json(terms: Iterable[tuple[int, complex]]) -> list[dict]:
 
 def terms_from_json(terms: list) -> LaurentPoly:
     """The LaurentPoly of a JSON term list, every nonzero term kept and
-    none pruned; exponents must be integers, and repeated ones are summed."""
+    none pruned; exponents must be integers, repeated ones summed and checked."""
     c, _, _ = _finite_terms([(_integer_from_json(t["k"], "exponent"), complex(float(t["re"]), float(t["im"])))
                              for t in terms])
-    # a second pass checks each sum, which may leave the double range, and drops those that cancel
-    return _unchecked_poly(_finite_terms(c.items())[0])
+    return _unchecked_poly(c)
 
 
 def matrix_to_json(mat: LaurentMatrix) -> dict:
-    entries = [
-        terms_to_json((mat._lo + k, v) for k, v in enumerate(values) if v)
-        for row in mat._c.transpose(1, 2, 0).tolist()
-        for values in row
-    ]
-    return {"n": mat.n, "entries": entries}
+    """Size n and the entries' term lists, row by row, from rows() and terms()."""
+    return {"n": mat.n, "entries": [terms_to_json(e.terms()) for row in mat.rows() for e in row]}
 
 
 def _integer_from_json(k, what: str) -> int:

@@ -92,24 +92,44 @@ def matrix_bytes(m):
 
 def reference_poly_terms(coeffs):
     """The terms LaurentPoly(coeffs) stores, by the plain two-pass rule:
-    check and sum every term, then prune below PRUNE_REL times the
-    largest modulus.  An oracle for the one-pass constructor."""
-    c = {}
-    for k, v in coeffs.items():
-        if not isinstance(k, (int, np.integer)):
-            raise TypeError(f"exponent must be an integer, got {k!r}")
-        v = complex(v)
+    check and sum every term, check every sum, then prune below
+    PRUNE_REL times the largest modulus.  An oracle for the one-pass
+    constructor."""
+
+    def check(k, v):
         try:
             if not math.isfinite(abs(v)):
                 raise OverflowError
         except OverflowError:
             raise ValueError(f"non-finite coefficient {v!r} at exponent {k}") from None
+
+    c = {}
+    for k, v in coeffs.items():
+        if not isinstance(k, (int, np.integer)):
+            raise TypeError(f"exponent must be an integer, got {k!r}")
+        v = complex(v)
+        check(k, v)
         if v != 0:
             c[int(k)] = c.get(int(k), 0j) + v
+    for k, v in c.items():
+        check(k, v)
     if c:
         threshold = PRUNE_REL * max(abs(v) for v in c.values())
         c = {k: v for k, v in c.items() if abs(v) > threshold}
     return c
+
+
+def reference_trivial_nu(a, q, nu_range):
+    """is_trivial_rank1_constant's answer for the constant a by the plain
+    walk over every nu in -nu_range .. nu_range, with no clamp."""
+    for nu in range(-nu_range, nu_range + 1):
+        try:
+            target = q ** nu
+            if abs(a - target) <= 1e-8 * abs(target):
+                return nu
+        except ArithmeticError:
+            continue
+    return None
 
 
 def reference_at_roots(m, width):

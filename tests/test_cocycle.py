@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,7 @@ from helpers import (
     random_monomial_det_matrix,
     random_single_exponent_factor,
     random_single_exponent_matrix,
+    reference_trivial_nu,
 )
 
 
@@ -439,6 +441,37 @@ def test_trivial_rank1_skips_powers_past_the_double_range(tau, nu, nu_range):
     f = FactorOfAutomorphy(t, LaurentMatrix([[t.q ** nu]]))
     assert is_trivial_rank1_constant(f, nu_range=nu_range) == nu
     assert is_trivial_rank1_constant(FactorOfAutomorphy(t, LaurentMatrix([[2.0]])), nu_range=nu_range) is None
+
+
+# q underflows to 0 on tau = 200i and rounds to 1 on tau = 1e-18i, where no clamp applies
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.02j, 0.37 + 0.02j, 3j, 200j, 1e-18j])
+def test_trivial_rank1_clamp_matches_the_plain_walk(tau, rng):
+    t = Torus(tau)
+    q = t.q
+    constants = [1.0, 2.0, 5e-324, -1e-320j, 1e300, complex(*rng.normal(size=2))]
+    for nu in (-200, -40, -3, 0, 1, 7, 90, 500, 6000):
+        try:
+            p = q ** nu
+        except ArithmeticError:
+            continue
+        constants += [p, p * (1 + 1e-9), p * (1 + 1e-7)]
+    for c in constants:
+        if not 0 < math.hypot(c.real, c.imag) < math.inf:
+            continue
+        f = FactorOfAutomorphy(t, LaurentMatrix([[c]]))
+        a = f.A.entry(0, 0).constant_value()
+        for nu_range in (0, 10, 300, 10000):
+            assert is_trivial_rank1_constant(f, nu_range=nu_range) == reference_trivial_nu(a, q, nu_range)
+    one = FactorOfAutomorphy(t, LaurentMatrix([[1.0]]))
+    assert is_trivial_rank1_constant(one, nu_range=10) == (-10 if q == 1 else 0)
+
+
+def test_trivial_rank1_walks_only_the_double_range(torus):
+    for c in (2.0, torus.q ** 5, torus.q ** -100):
+        f = FactorOfAutomorphy(torus, LaurentMatrix([[c]]))
+        start = time.perf_counter()
+        assert is_trivial_rank1_constant(f, nu_range=10 ** 7) == is_trivial_rank1_constant(f, nu_range=300)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_trivial_rank1_validation(torus):

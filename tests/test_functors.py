@@ -281,9 +281,9 @@ def test_functors_sample_the_factor_once(torus, rng, monkeypatch):
     sampled = []
     at_roots = LaurentMatrix._at_roots
 
-    def counted(m, width):
+    def counted(m, width, size=0):
         sampled.append(m is f.A)
-        return at_roots(m, width)
+        return at_roots(m, width, size)
 
     def forbidden(*args):
         raise AssertionError("a sampled functor multiplies Laurent polynomials or takes a Laurent det")

@@ -162,6 +162,7 @@ def _outcome(build, coeffs):
 @example(_Pairs([(1, 1.0), (np.int64(1), -1.0), (2, 1e-13)]))
 @example(_Pairs([(1, 1.0), (1, 1e-3), (0, 2.0)]))
 @example(_Pairs([(1, 1.0), (1, -1.0), (0, 2.0)]))  # a repeated exponent that cancels
+@example(_Pairs([(0, 1e308), (0, 1e308), (1, 1.0)]))  # one whose sum leaves the double range
 @example({1: complex(math.nan, 0.0)})
 def test_constructor_matches_the_two_pass_reference(coeffs):
     # items, their order and coefficient bytes, or the error type and text

@@ -61,10 +61,28 @@ def test_jordan_sweep_prints_one_digest_of_its_results():
     assert _run("jordan_sweep.py", ["--count", "3"]).splitlines() == lines
 
 
+def _load(name):
+    """The script scripts/<name>.py as a module, so a test can patch it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_classification_sweep_exits_1_on_a_mismatch(monkeypatch, capsys):
+    sweep = _load("classification_sweep")
+    assert sweep.main(["--rmax", "2", "--dmax", "1"]) == 0
+    assert capsys.readouterr().out.endswith("\n0 mismatches over the grid\n")
+    # a wrong degree for every bundle of positive degree
+    monkeypatch.setattr(sweep, "degree", lambda f: 0)
+    assert sweep.main(["--rmax", "2", "--dmax", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "  1    1   1       1   False    0.000e+00   <-- MISMATCH" in out.splitlines()
+    assert out.endswith("\n4 mismatches over the grid\n")
+
+
 def test_cg_table_exits_1_when_a_row_disagrees(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("cg_table", ROOT / "scripts" / "cg_table.py")
-    cg_table = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cg_table)
+    cg_table = _load("cg_table")
     assert cg_table.main(["--bound", "4"]) == 0
     assert capsys.readouterr().out.endswith("\nall rows agree\n")
     # a wrong rule for F_2 (x) F_2, whose partition is (3, 1)
