@@ -17,9 +17,12 @@ and bytes of the coefficient array; a call that raises goes in by its
 exception type and text.  The script prints the count of each outcome,
 then the digest.  The digest tells whether two versions of the package
 give the same dets bit for bit: run the script with PYTHONPATH set to
-each checkout's src/.  It exits 1 on any warning, and on any exception
-that is not a ValueError or an ArithmeticError, the faces of the double
-range limit (ROADMAP item 12).
+each checkout's src/.  It exits 1 on any warning, on any exception that
+is not a ValueError or an ArithmeticError, the faces of the double range
+limit (ROADMAP item 12), and when normal_form or atiyah_construct fails
+the sampled invertibility check: their cores carry a det, so a det past
+the double range is named by the core, not blamed on invertibility.
+Each such call prints its grid cell.
 """
 
 import argparse
@@ -37,6 +40,7 @@ TAUS = [1j, 0.3 + 1.1j, 0.1 + 0.6j, 5j]
 PARAMS = [0.6 + 0.2j, -1.3 + 0.01j, 1e-5j, 1, 1e13]
 RANKS = [*range(1, 17), 24]
 DEGREES = [*range(-8, 9), -48, 48]
+BLAMED = "fails the sampled invertibility check"
 
 
 def roundtrip(t: Torus, r: int, d: int, a: complex) -> list[FactorOfAutomorphy]:
@@ -79,7 +83,8 @@ def main(argv=None) -> int:
                             kind, data = "factors", b"".join(map(factor_bytes, out if isinstance(out, list) else [out]))
                         except Exception as exc:
                             kind, data = type(exc).__name__, f"{type(exc).__name__}: {exc}".encode()
-                            if not isinstance(exc, (ValueError, ArithmeticError)):
+                            blamed = name != "roundtrip_diag" and BLAMED in str(exc)
+                            if blamed or not isinstance(exc, (ValueError, ArithmeticError)):
                                 unexpected += 1
                                 print(f"tau {tau}, a {a}, r {r}, d {d}: {name}: {data.decode()}")
                         kinds[kind] += 1

@@ -117,7 +117,7 @@ def jordan_factor_matrix(r: int, a: complex) -> LaurentMatrix:
     """The constant Jordan block A_r(a): a on the diagonal, 1 above it.
     An a whose modulus is not finite raises ValueError."""
     r = _check_integer(r, "need r >= 1", 1)
-    return LaurentMatrix._from_coeffs(0, _jordan_block(r, a)[None], prune=False)
+    return LaurentMatrix._from_coeffs(0, _jordan_block(r, a)[None])
 
 
 def phi0(t: Torus) -> LaurentPoly:
@@ -136,11 +136,13 @@ def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMat
     returns r' = r/h and the twisted Jordan core phi0^d' A_h(a), d' = d/h,
     which carries its det, the monomial (s^-d' a)^h u^(-d' h).  It is one
     exact, so unpruned, array c A_h(a) + 0 at exponent -d', c = 0j + s^-d',
-    bit for bit A_h(a) scaled by the polynomial phi0^d'.  A power s^-d'
-    or a coefficient past the double range raises ValueError."""
+    bit for bit A_h(a) scaled by the polynomial phi0^d'.  A power s^-d',
+    a coefficient or a det past the double range raises ValueError, a det
+    with h (log10 |a| - d' log10 |s|), log10 |s| = -pi Im(tau) / ln 10."""
     r = _check_integer(r, "rank must be a positive integer", 1)
     d = _check_integer(d, "degree must be an integer")
-    if complex(a) == 0:
+    a = complex(a)
+    if a == 0:
         raise ValueError("param must be nonzero")
     h = math.gcd(r, abs(d)) if d != 0 else r
     try:
@@ -148,11 +150,15 @@ def _twisted_core(t: Torus, r: int, d: int, a: complex) -> tuple[int, LaurentMat
     except ArithmeticError:  # s^d' underflows to 0, or s^-d' overflows
         raise ValueError(f"twist s^-d' is past the double range: d' = {d // h}, |s| = {abs(t.s):.6g}") from None
     # the exact product's entries c a, c and 0 are finite when c a and c are
-    ca = c * complex(a)
+    ca = c * a
     if not max(math.hypot(c.real, c.imag), math.hypot(ca.real, ca.imag)) < math.inf:
         raise ValueError(f"non-finite coefficient in a {h} x {h} matrix")
-    core = LaurentMatrix._from_coeffs(-(d // h), c * _jordan_block(h, a)[None] + 0, prune=False)
-    return r // h, core._carry_triangular_det()
+    core = LaurentMatrix._from_coeffs(-(d // h), c * _jordan_block(h, a)[None] + 0)._carry_triangular_det()
+    if core._det is None or not core._det[1]:  # the det overflows, or underflows to 0
+        log_det = h * (math.log10(math.hypot(a.real, a.imag)) + (d // h) * math.pi * t.tau.imag / math.log(10))
+        raise ValueError(f"det of the twisted core phi0^{d // h} A_{h}(a) is past the double range: "
+                         f"log10 |det| = {log_det:.1f}")
+    return r // h, core
 
 
 def normal_form(t: Torus, r: int, d: int, a: complex) -> FactorOfAutomorphy:

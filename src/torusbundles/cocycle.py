@@ -151,7 +151,7 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
                 raise failure
     if not len(acc):
         raise ValueError(f"A(m, u) underflows to the zero matrix at m = {m}")
-    return LaurentMatrix._from_coeffs(lo, acc, prune=False)
+    return LaurentMatrix._from_coeffs(lo, acc)
 
 
 def check_witness(f: FactorOfAutomorphy, g: FactorOfAutomorphy, w: EquivalenceWitness) -> bool:
@@ -207,14 +207,14 @@ def is_trivial_unipotent2(f: FactorOfAutomorphy) -> Optional[LaurentPoly]:
 
     For A = [[1, a(u)], [0, 1]] the bundle is trivial exactly when
     a(u) = b(q u) - b(u) has a Laurent solution b, which exists iff the
-    constant term of a vanishes; then b_k = a_k / (q^k - 1) for k != 0
-    and b_0 = 0.  Returns b, or None when the constant term obstructs.
+    constant term of a vanishes; then b_0 = 0 and b_k = a_k / (q^k - 1),
+    kept however small.  Returns b, or None when the constant term obstructs.
     """
     if f.A.n != 2:
         raise ValueError(f"expected a 2x2 factor, got size {f.A.n}")
     a = f.A.entry(0, 1)
     scale = 1.0 + max(1.0, a.max_coeff())
-    if (f.A - LaurentMatrix([[1, a], [0, 1]], prune=False)).max_coeff() > CLOSE_TOL * scale:
+    if (f.A - LaurentMatrix([[1, a], [0, 1]])).max_coeff() > CLOSE_TOL * scale:
         raise ValueError("factor is not upper unipotent with unit diagonal")
     q = f.torus.q
     terms = dict(a.terms())
@@ -479,7 +479,7 @@ def equivalent_constant(a, b, eigenvalues: Optional[Sequence[complex]] = None) -
     Eigenvalues are read off the diagonal for triangular input; otherwise
     they must be supplied (general eigenvalue computation is deliberately
     out of scope).  Near identical inputs short circuit to the identity
-    witness.
+    witness.  B is a computed result, pruned as sums are.
     """
     am = a.constant_matrix() if isinstance(a, LaurentMatrix) else np.asarray(a, dtype=complex)
     bm = b.constant_matrix() if isinstance(b, LaurentMatrix) else np.asarray(b, dtype=complex)
@@ -517,4 +517,4 @@ def equivalent_constant(a, b, eigenvalues: Optional[Sequence[complex]] = None) -
     w = _jordan_basis(walks_a) @ np.linalg.inv(_jordan_basis(walks_b))
     if float(np.max(np.abs(am @ w - w @ bm))) > 1e-6 * scale * float(np.linalg.cond(w)):
         raise ArithmeticError("Jordan bases failed to produce a valid witness")
-    return EquivalenceWitness(LaurentMatrix.from_constant(w))
+    return EquivalenceWitness(LaurentMatrix._pruned(0, w[None]))

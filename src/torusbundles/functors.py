@@ -113,7 +113,7 @@ def _index_sets(n: int, k: int) -> np.ndarray:
 def _sampled_functor(f: FactorOfAutomorphy, degree: int, apply, size: int) -> FactorOfAutomorphy:
     """The factor with values apply(A(u)), sampled on degree times the window of A."""
     lo, hi = degree * f.A._lo, degree * (f.A._lo + len(f.A._c) - 1)
-    return FactorOfAutomorphy(f.torus, LaurentMatrix._from_coeffs(lo, f.A._sampled(lo, hi, apply, size)))
+    return FactorOfAutomorphy(f.torus, LaurentMatrix._pruned(lo, f.A._sampled(lo, hi, apply, size)))
 
 
 def dual(f: FactorOfAutomorphy) -> FactorOfAutomorphy:

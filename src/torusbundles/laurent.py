@@ -7,21 +7,23 @@ package by matrix valued generators A(u); here we provide the coefficient
 ring those generators live in.
 
 Entries are Laurent polynomials in one variable u: exact integer
-exponents, double precision complex coefficients.  Sums, sampled
-results and matrices built from user rows drop coefficients below
-``PRUNE_REL`` times the largest of the matrix, so supports stay finite.
-Products (@, kron, so a scalar multiple [[c]] (x) A) are never pruned:
-their small coefficients at high or low exponents dominate off the unit
-circle.  Nor are exact results: substitutions u -> c u and assemblies.
+exponents, double precision complex coefficients.  Input (rows,
+mappings, constant arrays, JSON) is exact and stored as given.  Only
+computed results that round, sums and sampled results (det, the inverse
+of a monomial det matrix, the Jordan witness of equivalent_constant),
+drop coefficients at most ``PRUNE_REL`` times the largest of the matrix,
+in LaurentMatrix._pruned, so supports stay finite.  Products (@, kron,
+so a scalar multiple [[c]] (x) A) are never pruned: their small
+coefficients at high or low exponents dominate off the unit circle.  Nor
+are exact results: substitutions u -> c u and assemblies.
 
 A scalar is a LaurentPoly, a dict from exponent to coefficient, built
-in one pass over its terms: _finite_terms checks each term and keeps
-the smallest and largest modulus, and the prune runs only when the
-smallest is at most PRUNE_REL times the largest.  Its arithmetic is the
-1 x 1 case of the matrix arithmetic below, so a polynomial and a matrix
-follow one rule for each operation.  A LaurentMatrix is its lowest
-exponent plus one dense complex array of shape (K, n, n), coefficient
-slices of consecutive exponents.  A product is one kernel, _product:
+in one pass over its terms by _finite_terms, which checks each term and
+sums repeated exponents.  Its arithmetic is the 1 x 1 case of the matrix
+arithmetic below, so a polynomial and a matrix follow one rule for each
+operation.  A LaurentMatrix is its lowest exponent plus one dense
+complex array of shape (K, n, n), coefficient slices of consecutive
+exponents.  A product is one kernel, _product:
 one GEMM for every pair of slices, added along the sum of their
 exponents, and one test that every modulus is finite.  Substitution
 u -> c u multiplies by the weights c^k, for several scales c in one
@@ -189,7 +191,7 @@ def _matrix_op(op: Callable[["LaurentMatrix", "LaurentMatrix"], "LaurentMatrix"]
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return op(LaurentMatrix([[self]], prune=False), LaurentMatrix([[other]], prune=False)).entry(0, 0)
+        return op(LaurentMatrix([[self]]), LaurentMatrix([[other]])).entry(0, 0)
 
     return method
 
@@ -198,8 +200,8 @@ class LaurentPoly:
     """A Laurent polynomial sum_k c_k u^k with finite support.
 
     Stored as a dict from integer exponent to complex coefficient.
-    Construction prunes coefficients below ``PRUNE_REL`` times the largest
-    one and rejects non-finite values.  +, -, *, ** by m >= 0 and
+    Construction keeps every nonzero term as given, sums repeated
+    exponents and rejects non-finite values.  +, -, *, ** by m >= 0 and
     substitute_scaled are those of the 1 x 1 matrix [[p]], read back
     with entry(0, 0), with a scalar taken as a constant; so are their
     pruning and their errors.
@@ -208,14 +210,7 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Optional[Mapping[int, complex]] = None):
-        if not coeffs:
-            self._c = {}
-            return
-        c, low, top = _finite_terms(coeffs.items())
-        threshold = PRUNE_REL * top
-        if low <= threshold:
-            c = {k: v for k, v in c.items() if abs(v) > threshold}
-        self._c = c
+        self._c = _finite_terms(coeffs.items()) if coeffs else {}
 
     # -- constructors -------------------------------------------------------
 
@@ -290,7 +285,7 @@ class LaurentPoly:
                 raise NotInvertibleInRing(f"negative power of a non-monomial: {self}")
             k, c = mono
             return LaurentPoly.monomial(k * int(m), c ** int(m))
-        base, out = LaurentMatrix([[self]], prune=False), LaurentMatrix.identity(1)
+        base, out = LaurentMatrix([[self]]), LaurentMatrix.identity(1)
         for _ in range(int(m)):
             out = out @ base
         return out.entry(0, 0)
@@ -298,7 +293,7 @@ class LaurentPoly:
     def substitute_scaled(self, c: complex) -> "LaurentPoly":
         """Substitute u -> c*u for nonzero c, mapping u^k to c^k u^k, as
         LaurentMatrix.substitute_scaled does."""
-        return LaurentMatrix([[self]], prune=False).substitute_scaled(c).entry(0, 0)
+        return LaurentMatrix([[self]]).substitute_scaled(c).entry(0, 0)
 
     def __call__(self, u0: complex) -> complex:
         return sum((v * complex(u0) ** k for k, v in self._c.items()), 0j)
@@ -332,14 +327,13 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[dict[int, complex], float, float]:
-    """The nonzero terms of the (exponent, coefficient) ``pairs``,
-    repeated exponents summed, with the smallest and largest modulus
-    among them.  A non-integer exponent raises TypeError, a non-finite
-    modulus ValueError; the sums of repeated exponents are read again as
-    terms, so each is checked and one that cancels is dropped."""
+def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> dict[int, complex]:
+    """The nonzero terms of the (exponent, coefficient) ``pairs`` as
+    given, zero parts stored as +0, repeated exponents summed: the sums
+    are read again as terms, so each is checked and one that cancels is
+    dropped.  A non-integer exponent raises TypeError, a non-finite
+    modulus ValueError."""
     c: dict[int, complex] = {}
-    low, top = math.inf, 0.0
     repeated = False
     for k, v in pairs:
         if type(k) is int:
@@ -362,13 +356,9 @@ def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[dict[int, compl
             else:
                 # 0j + v stores a zero part as +0
                 c[e] = 0j + v
-                if a < low:
-                    low = a
-                if a > top:
-                    top = a
     if repeated:
         return _finite_terms(c.items())
-    return c, low, top
+    return c
 
 
 def _as_poly(x) -> Optional[LaurentPoly]:
@@ -416,9 +406,10 @@ class LaurentMatrix:
     Stored as the lowest exponent ``lo`` and one complex array of shape
     (K, n, n) whose slice k holds the coefficients of u^(lo + k); the
     first and last slices are nonzero, and the zero matrix has K = 0.
-    Treated as immutable; all operations return new matrices.  Sums
-    prune relative to the largest coefficient of the whole result, not
-    entry by entry; products (@, kron) and exact results are not pruned.
+    Treated as immutable; all operations return new matrices.  Input is
+    stored as given; sums and sampled results prune against the largest
+    coefficient of the whole result (_pruned), products and exact results
+    do not.
     ``_det`` is None or the det c u^k the matrix carries, as the pair
     (k, c): see _monomial_det for what sets it.  det() builds the
     LaurentPoly of a carried pair on each request.
@@ -426,9 +417,9 @@ class LaurentMatrix:
 
     __slots__ = ("_lo", "_c", "_det")
 
-    def __init__(self, rows: Sequence[Sequence], prune: bool = True):
+    def __init__(self, rows: Sequence[Sequence]):
         """The matrix of ``rows``, each read once: entries are coerced to
-        LaurentPoly, and only those with terms are recorded and written."""
+        LaurentPoly, and those with terms are written as they are."""
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
@@ -437,9 +428,11 @@ class LaurentMatrix:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in size {n}")
             for j, e in enumerate(row):
-                terms = (e if type(e) is LaurentPoly else self._coerce(e))._c
-                if terms:
-                    live.append((i, j, terms))
+                p = e if type(e) is LaurentPoly else _as_poly(e)
+                if p is None:
+                    raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")
+                if p._c:
+                    live.append((i, j, p._c))
         exps = [k for _, _, terms in live for k in terms]
         lo = min(exps, default=0)
         hi = max(exps, default=lo - 1)
@@ -448,54 +441,55 @@ class LaurentMatrix:
         for i, j, terms in live:
             for k, v in terms.items():
                 c[k - lo, i, j] = v
-        self._set(lo, c, prune)
+        self._set(lo, c)
 
-    def _set(self, lo: int, c: np.ndarray, prune: bool) -> None:
-        """Store sum_k c[k] u^(lo + k), pruned against the largest
-        coefficient when ``prune``, with _trimmed's window."""
-        if prune and c.size:
+    def _set(self, lo: int, c: np.ndarray) -> None:
+        """Store sum_k c[k] u^(lo + k) as given, with _trimmed's window."""
+        self._lo, self._c = _trimmed(lo, c)
+        self._det: Optional[tuple[int, complex]] = None
+
+    @classmethod
+    def _from_coeffs(cls, lo: int, c: np.ndarray) -> "LaurentMatrix":
+        """The matrix sum_k c[k] u^(lo + k) from a (K, n, n) array it owns."""
+        m = cls.__new__(cls)
+        m._set(lo, c)
+        return m
+
+    @classmethod
+    def _pruned(cls, lo: int, c: np.ndarray) -> "LaurentMatrix":
+        """The computed result sum_k c[k] u^(lo + k), c an array it owns, each
+        coefficient at most PRUNE_REL times the largest set to 0; non-finite raises ValueError."""
+        if c.size:
             mag = np.abs(c)
             top = float(mag.max())
             if not math.isfinite(top):
                 raise ValueError(f"non-finite coefficient in a {c.shape[1]} x {c.shape[1]} matrix")
             c = np.where(mag > PRUNE_REL * top, c, 0)
-        self._lo, self._c = _trimmed(lo, c)
-        self._det: Optional[tuple[int, complex]] = None
-
-    @classmethod
-    def _from_coeffs(cls, lo: int, c: np.ndarray, prune: bool = True) -> "LaurentMatrix":
-        """The matrix sum_k c[k] u^(lo + k) from a (K, n, n) array it owns."""
-        m = cls.__new__(cls)
-        m._set(lo, c, prune)
-        return m
-
-    @staticmethod
-    def _coerce(e) -> LaurentPoly:
-        p = _as_poly(e)
-        if p is None:
-            raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")
-        return p
+        return cls._from_coeffs(lo, c)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "LaurentMatrix":
-        return cls._from_coeffs(0, np.eye(n, dtype=complex)[None], prune=False)
+        return cls._from_coeffs(0, np.eye(n, dtype=complex)[None])
 
     @classmethod
     def zeros(cls, n: int) -> "LaurentMatrix":
-        return cls._from_coeffs(0, np.zeros((0, n, n), dtype=complex), prune=False)
+        return cls._from_coeffs(0, np.zeros((0, n, n), dtype=complex))
 
     @classmethod
     def from_constant(cls, arr) -> "LaurentMatrix":
+        """The square array ``arr`` as a constant matrix, stored as given."""
         a = np.array(arr, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square array, got shape {a.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_moduli(a[None])
         return cls._from_coeffs(0, a[None])
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "LaurentMatrix":
-        return block_diagonal([cls([[e]], prune=False) for e in entries])
+        return block_diagonal([cls([[e]]) for e in entries])
 
     # -- inspection ---------------------------------------------------------
 
@@ -535,7 +529,7 @@ class LaurentMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             for m, s in live:
                 out[m._lo - lo:m._lo - lo + len(m._c)] += s * m._c
-            return LaurentMatrix._from_coeffs(lo, out)
+            return LaurentMatrix._pruned(lo, out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -548,7 +542,7 @@ class LaurentMatrix:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return LaurentMatrix._from_coeffs(self._lo, -self._c, prune=False)
+        return LaurentMatrix._from_coeffs(self._lo, -self._c)
 
     def __matmul__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -556,7 +550,7 @@ class LaurentMatrix:
         self._check_size(other)
         with np.errstate(over="ignore", invalid="ignore"):
             out = _product(self._c, other._c)
-        return LaurentMatrix._from_coeffs(self._lo + other._lo, out, prune=False)
+        return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
 
     def scaled(self, factor) -> "LaurentMatrix":
         """Multiply every entry by a scalar or a LaurentPoly: the
@@ -591,7 +585,7 @@ class LaurentMatrix:
         stack, tells which did."""
         stack, failure = self._translate_stack(scales)
         if self._det is None:
-            return [LaurentMatrix._from_coeffs(self._lo, a, prune=False) for a in stack], failure
+            return [LaurentMatrix._from_coeffs(self._lo, a) for a in stack], failure
         k, d = self._det
         live = np.count_nonzero(self._c)
         if np.count_nonzero(stack) == len(stack) * live:
@@ -609,7 +603,7 @@ class LaurentMatrix:
                 # + 0j stores a zero part as +0, as _one_point_det does
                 m._lo, m._c, m._det = self._lo, a, (k, det + 0j)
             else:
-                m = LaurentMatrix._from_coeffs(self._lo, a, prune=False)
+                m = LaurentMatrix._from_coeffs(self._lo, a)
             out.append(m)
         return out, failure
 
@@ -649,7 +643,7 @@ class LaurentMatrix:
         return out, failure
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1), prune=False)
+        return LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1))
 
     def eval_at(self, u0: complex) -> np.ndarray:
         u0 = complex(u0)
@@ -668,7 +662,7 @@ class LaurentMatrix:
                 block = a[i][None, :, None, :, None] * b[:, None, :, None, :]
                 out[i:i + len(b)] += block.reshape(len(b), n * m, n * m)
             _check_moduli(out)
-        return LaurentMatrix._from_coeffs(self._lo + other._lo, out, prune=False)
+        return LaurentMatrix._from_coeffs(self._lo + other._lo, out)
 
     def _check_size(self, other: "LaurentMatrix") -> None:
         if self.n != other.n:
@@ -731,8 +725,8 @@ class LaurentMatrix:
         _monomial_det when the matrix carries one or each row holds one
         exponent.  Else det is sampled on the window between the sums of
         the rows' lowest and highest exponents, one batched determinant
-        for all samples, and not kept; it is identically zero only when
-        every sample is 0.
+        for all samples, pruned as the 1 x 1 matrix of that window and
+        not kept; it is identically zero only when every sample is 0.
         """
         point = self._monomial_det()
         if point is not None:
@@ -743,8 +737,8 @@ class LaurentMatrix:
         if ext is None:
             return LaurentPoly.zero()
         lo, hi = int(ext[0].sum()), int(ext[1].sum())
-        # non-finite samples are left to LaurentPoly to reject
-        return LaurentPoly(dict(zip(range(lo, hi + 1), self._sampled(lo, hi, _sample_dets).tolist())))
+        # + 0 stores a zero part as +0, as _finite_terms does
+        return LaurentMatrix._pruned(lo, self._sampled(lo, hi, _sample_dets)[:, None, None] + 0).entry(0, 0)
 
     def _monomial_det(self) -> Optional[tuple[int, complex]]:
         """The det c u^k as the pair (k, c), when it is known without
@@ -810,7 +804,7 @@ class LaurentMatrix:
         lows, highs = self._row_extremes()
         lo = int(lows.sum() - lows.max()) - mono[0]
         hi = int(highs.sum() - highs.min()) - mono[0]
-        return LaurentMatrix._from_coeffs(lo, self._sampled(lo, hi, np.linalg.inv))
+        return LaurentMatrix._pruned(lo, self._sampled(lo, hi, np.linalg.inv))
 
     # -- io and display -----------------------------------------------------
 
@@ -992,7 +986,7 @@ def block_diagonal(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     out = np.zeros((hi - lo, total, total), dtype=complex)
     for off, b in live:
         out[b._lo - lo:b._lo - lo + len(b._c), off:off + b.n, off:off + b.n] = b._c
-    return LaurentMatrix._from_coeffs(lo, out, prune=False)
+    return LaurentMatrix._from_coeffs(lo, out)
 
 
 def _companion(a: LaurentMatrix, r: int) -> LaurentMatrix:
@@ -1011,7 +1005,7 @@ def _companion(a: LaurentMatrix, r: int) -> LaurentMatrix:
     # the ones (i, i + n), i < (r-1) n, at the flat indices n + i (rn + 1)
     out[-lo].reshape(-1)[n:(r - 1) * n * (size + 1):size + 1] = 1
     out[a._lo - lo:a._lo - lo + k, -n:, :n] = a._c
-    m = LaurentMatrix._from_coeffs(lo, out, prune=False)
+    m = LaurentMatrix._from_coeffs(lo, out)
     if a._det is not None:
         m._det = a._det[0], (-1) ** ((r - 1) * n) * a._det[1] + 0j
     return m
@@ -1075,11 +1069,10 @@ def terms_to_json(terms: Iterable[tuple[int, complex]]) -> list[dict]:
 
 
 def terms_from_json(terms: list) -> LaurentPoly:
-    """The LaurentPoly of a JSON term list, every nonzero term kept and
-    none pruned; exponents must be integers, repeated ones summed and checked."""
-    c, _, _ = _finite_terms([(_integer_from_json(t["k"], "exponent"), complex(float(t["re"]), float(t["im"])))
-                             for t in terms])
-    return _unchecked_poly(c)
+    """The LaurentPoly of a JSON term list, read as LaurentPoly reads a
+    mapping: exponents must be integers, repeated ones summed and checked."""
+    return _unchecked_poly(_finite_terms([(_integer_from_json(t["k"], "exponent"),
+                                           complex(float(t["re"]), float(t["im"]))) for t in terms]))
 
 
 def matrix_to_json(mat: LaurentMatrix) -> dict:
@@ -1101,4 +1094,4 @@ def matrix_from_json(data: dict) -> LaurentMatrix:
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for size {n}, got {len(entries)}")
     polys = [terms_from_json(terms) for terms in entries]
-    return LaurentMatrix([polys[i * n:(i + 1) * n] for i in range(n)], prune=False)
+    return LaurentMatrix([polys[i * n:(i + 1) * n] for i in range(n)])

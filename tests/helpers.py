@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from torusbundles import PRUNE_REL, FactorOfAutomorphy, LaurentMatrix, LaurentPoly
+from torusbundles import FactorOfAutomorphy, LaurentMatrix, LaurentPoly
 from torusbundles.cocycle import _PowerWalk
 from torusbundles.laurent import _sample_dets
 
@@ -92,9 +92,8 @@ def matrix_bytes(m):
 
 def reference_poly_terms(coeffs):
     """The terms LaurentPoly(coeffs) stores, by the plain two-pass rule:
-    check and sum every term, check every sum, then prune below
-    PRUNE_REL times the largest modulus.  An oracle for the one-pass
-    constructor."""
+    check and sum every term, then check every sum.  An oracle for the
+    one-pass constructor."""
 
     def check(k, v):
         try:
@@ -113,10 +112,7 @@ def reference_poly_terms(coeffs):
             c[int(k)] = c.get(int(k), 0j) + v
     for k, v in c.items():
         check(k, v)
-    if c:
-        threshold = PRUNE_REL * max(abs(v) for v in c.values())
-        c = {k: v for k, v in c.items() if abs(v) > threshold}
-    return c
+    return {k: v for k, v in c.items() if v != 0}
 
 
 def reference_trivial_nu(a, q, nu_range):
@@ -186,7 +182,7 @@ def reference_pivot_det(m):
 
 def _reference_functor(a, degree, apply, size):
     lo, hi = degree * a._lo, degree * (a._lo + len(a._c) - 1)
-    return LaurentMatrix._from_coeffs(lo, a._sampled(lo, hi, apply, size))
+    return LaurentMatrix._pruned(lo, a._sampled(lo, hi, apply, size))
 
 
 def reference_sym_power(a, n):

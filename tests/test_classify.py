@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -175,20 +176,21 @@ def test_normal_forms_above_rank_8(any_torus):
 
 def test_normal_forms_past_the_double_range_keep_their_errors():
     # on tau = 5i, |s^-3| ~ 3e20: the det of the rank 16 core overflows at
-    # d = 48 and underflows to 0 at d = -48; an overflowed det is not
-    # carried, so the check reports it as it reports any other.  With the
-    # last parameter the det has finite parts, about 1.5e308 each, but its
-    # modulus overflows
-    t = Torus(5j)
-    for d, a, taken in (
-        (48, 0.6 + 0.2j, "inf"),
-        (-48, 0.6 + 0.2j, "0"),
-        (48, 0.06371288070284659 + 0.0031300131186687338j, "inf"),
+    # d = 48 and underflows to 0 at d = -48, so it is not carried and the
+    # core says so with log10 |det| = 16 (log10 |a| - 3 log10 |s|).  With
+    # the last parameter the det has finite parts, about 1.5e308 each,
+    # but its modulus overflows; on tau = i, 1e13^24 overflows
+    for tau, r, d, a, text in (
+        (5j, 16, 48, 0.6 + 0.2j, "phi0^3 A_16(a) is past the double range: log10 |det| = 324.3"),
+        (5j, 16, -48, 0.6 + 0.2j, "phi0^-3 A_16(a) is past the double range: log10 |det| = -330.6"),
+        (5j, 16, 48, 0.06371288070284659 + 0.0031300131186687338j,
+         "phi0^3 A_16(a) is past the double range: log10 |det| = 308.3"),
+        (1j, 24, 0, 1e13, "phi0^0 A_24(a) is past the double range: log10 |det| = 312.0"),
     ):
         for build in (normal_form, atiyah_construct):
             with pytest.raises(ValueError) as exc:
-                build(t, 16, d, a)
-            assert str(exc.value) == f"generator fails the sampled invertibility check (|det A(1)| = {taken})"
+                build(Torus(tau), r, d, a)
+            assert str(exc.value) == f"det of the twisted core {text}"
 
 
 def test_twist_past_the_double_range_is_a_domain_error():
@@ -245,17 +247,21 @@ def test_twisted_core_is_the_scaled_jordan_factor_byte_for_byte(tau):
 
 
 def test_twisted_core_past_the_double_range_is_the_scaled_jordan_factor():
-    # on tau = 5i, s^48 underflows to 0, so the core of (1, -48) is the
-    # zero matrix; the det of the rank 16 core underflows to 0 at d = -48
-    # and overflows at d = 48, where no det is carried; (1, -47) and
-    # (1, 45) reach the edges of the double range
+    # on tau = 5i, (1, -47) and (1, 45) reach the edges of the double
+    # range and keep their det; s^48 underflows to 0, so the core of
+    # (1, -48) is the zero matrix, and the det of the rank 16 core
+    # underflows to 0 at d = -48 and overflows at d = 48: those three
+    # raise, naming the core
     t = Torus(5j)
-    for r, d in ((1, -48), (16, -48), (16, 48), (1, -47), (1, 45)):
+    for r, d in ((1, -47), (1, 45)):
         rp, core = _twisted_core(t, r, d, 0.6 + 0.2j)
         want_rp, want = _scaled_core(t, r, d, 0.6 + 0.2j)
         assert (rp, matrix_bytes(core)) == (want_rp, matrix_bytes(want))
-    assert _twisted_core(t, 1, -48, 0.6 + 0.2j)[1]._c.shape == (0, 1, 1)
-    assert _twisted_core(t, 16, 48, 0.6 + 0.2j)[1]._det is None
+    assert _scaled_core(t, 1, -48, 0.6 + 0.2j)[1]._c.shape == (0, 1, 1)
+    assert _scaled_core(t, 16, 48, 0.6 + 0.2j)[1]._det is None
+    for r, d, core in ((1, -48, "phi0^-48 A_1(a)"), (16, -48, "phi0^-3 A_16(a)"), (16, 48, "phi0^3 A_16(a)")):
+        with pytest.raises(ValueError, match=rf"^det of the twisted core {re.escape(core)} is past the double range: "):
+            _twisted_core(t, r, d, 0.6 + 0.2j)
 
 
 @pytest.mark.parametrize("r, d", [(12, 8), (12, 0), (12, -9), (5, 3)])
@@ -314,7 +320,7 @@ def test_companion_carries_the_det_of_its_block(rng):
         out = companion_block(a, r)
         assert out._det is not None
         assert out.det() == a.det() * (-1) ** ((r - 1) * n)
-        fresh = LaurentMatrix._from_coeffs(out._lo, out._c.copy(), prune=False)
+        fresh = LaurentMatrix._from_coeffs(out._lo, out._c.copy())
         assert fresh._det is None
         assert poly_close(out.det(), fresh.det(), 1e-12)
     # a block without a det gives a companion without one, and a sampled
@@ -336,7 +342,7 @@ def test_normal_forms_carry_the_det_their_elimination_gives(tau):
             core = _twisted_core(t, r, d, 0.6 + 0.2j)[1]
             for m in (core, normal_form(t, r, d, 0.6 + 0.2j).A, atiyah_construct(t, r, d, 0.6 + 0.2j).A):
                 k, c = m._det
-                fresh = LaurentMatrix._from_coeffs(m._lo, m._c.copy(), prune=False)
+                fresh = LaurentMatrix._from_coeffs(m._lo, m._c.copy())
                 assert fresh._det is None
                 [(want_k, want)] = fresh.det().terms()
                 assert k == want_k and abs(c - want) <= 1e-12 * abs(want)

@@ -218,6 +218,15 @@ def test_trivial_check_unipotent(capsys, monkeypatch):
     assert ks == {1, -2}
 
 
+def test_trivial_check_keeps_every_term_of_b(capsys, monkeypatch):
+    # on tau = i, a = u^-8 + u gives b_-8 ~ 1.5e-22 beside b_1 ~ -1.0019
+    t = Torus(1j)
+    m = LaurentMatrix([[1, LaurentPoly({-8: 1.0, 1: 1.0})], [0, 1]])
+    code, out, _ = run(capsys, monkeypatch, ["trivial-check"], stdin=_factor_json_text(t, m))
+    assert code == 0
+    assert [term["k"] for term in json.loads(out)["b"]] == [-8, 1]
+
+
 def test_trivial_check_unipotent_table_line(capsys, monkeypatch):
     # b_k = a_k / (q^k - 1) with q = exp(-2 pi): 0.4 / (q - 1) = -0.40074837...
     # and 1 / (q^-2 - 1) = 3.4873545...e-06, read back from the JSON terms

@@ -23,6 +23,7 @@ from torusbundles import (
     jordan_type_unipotent,
     matrices_close,
     normal_form,
+    poly_close,
     recognize_deg0,
 )
 
@@ -260,7 +261,7 @@ def test_iterates_match_the_product_of_evaluated_factors_off_the_unit_circle():
     # so a prune against the largest coefficient is wrong there by order 1
     for torus, lo, arr in _off_circle_factors():
         q = torus.q
-        f = FactorOfAutomorphy(torus, LaurentMatrix._from_coeffs(lo, arr.copy(), prune=False))
+        f = FactorOfAutomorphy(torus, LaurentMatrix._from_coeffs(lo, arr.copy()))
         for m in (3, 5, 8):
             got = iterate(f, m)
             for j in range(4):
@@ -483,7 +484,7 @@ def test_trivial_rank1_validation(torus):
 
 
 def _unipotent(torus, a):
-    return FactorOfAutomorphy(torus, LaurentMatrix([[1, a], [0, 1]], prune=False))
+    return FactorOfAutomorphy(torus, LaurentMatrix([[1, a], [0, 1]]))
 
 
 def test_unipotent_constant_obstruction(any_torus):
@@ -501,6 +502,18 @@ def test_unipotent_coboundary_roundtrip(any_torus, rng):
         assert resid <= 1e-9 * (1.0 + a.max_coeff())
 
 
+def test_unipotent_solution_keeps_every_term_of_a():
+    # on tau = i, b_-8 = 1 / (q^-8 - 1) ~ 1.5e-22 beside b_1 = 1 / (q - 1)
+    # ~ -1.0019: a is exact input and b is solved term by term, so both
+    # terms are kept and b(q u) - b(u) = a
+    t = Torus(1j)
+    a = LaurentPoly({-8: 1.0, 1: 1.0})
+    b = is_trivial_unipotent2(_unipotent(t, a))
+    assert b.support == [-8, 1]
+    assert b.terms()[0][1] == 1.0 / (t.q ** -8 - 1.0)
+    assert poly_close(b.substitute_scaled(t.q) - b, a, 1e-12)
+
+
 def test_unipotent_shape_check(torus):
     with pytest.raises(ValueError):
         is_trivial_unipotent2(FactorOfAutomorphy(torus, LaurentMatrix([[2, 1], [0, 1]])))
@@ -515,7 +528,7 @@ def test_unipotent_shape_check_uses_the_scaled_tolerance(torus):
         for eps, fails in ((3.9e-9, False), (4.1e-9, True)):
             rows = [[1, a], [0, 1]]
             rows[i][j] = rows[i][j] + LaurentPoly({2: eps})
-            f = FactorOfAutomorphy(torus, LaurentMatrix(rows, prune=False))
+            f = FactorOfAutomorphy(torus, LaurentMatrix(rows))
             if fails:
                 with pytest.raises(ValueError, match="^factor is not upper unipotent with unit diagonal$"):
                     is_trivial_unipotent2(f)

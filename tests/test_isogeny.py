@@ -128,7 +128,7 @@ def _assembled_companion(a, r):
     coefficient through the validating LaurentPoly constructor."""
     n = a.n
     diag = block_diagonal([LaurentMatrix.identity((r - 1) * n), a])
-    want = LaurentMatrix._from_coeffs(diag._lo, np.roll(diag._c, n, axis=2), prune=False)
+    want = LaurentMatrix._from_coeffs(diag._lo, np.roll(diag._c, n, axis=2))
     if a._det is not None:
         k, c = a._det
         want._det = k, LaurentPoly({0: (-1) ** ((r - 1) * n) * c}).constant_value()
@@ -158,7 +158,7 @@ def _companion_blocks(rng):
     ]
     for a in several:
         for r in (2, 3, 5):
-            yield LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False), r
+            yield LaurentMatrix._from_coeffs(a._lo, a._c.copy()), r
         a.det()
         for r in (2, 3, 5):
             yield a, r
@@ -386,7 +386,7 @@ def test_translates_carry_the_det_their_elimination_gives(tau):
             translates, _ = core._translate_matrices([t.q ** i for i in range(rp)])
             for a in translates:
                 carried = a._det
-                fresh = LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False)
+                fresh = LaurentMatrix._from_coeffs(a._lo, a._c.copy())
                 assert (a._lo, a._c.shape) == (fresh._lo, fresh._c.shape)
                 verdict = _invertibility_failure(fresh, "A")
                 assert _invertibility_failure(a, "A") == verdict
@@ -407,7 +407,7 @@ def test_translates_of_random_factors_carry_their_det(any_torus, rng):
             assert failure is None
             for a in translates:
                 k, got = a._det
-                [(want_k, want)] = LaurentMatrix._from_coeffs(a._lo, a._c.copy(), prune=False).det().terms()
+                [(want_k, want)] = LaurentMatrix._from_coeffs(a._lo, a._c.copy()).det().terms()
                 assert k == want_k and abs(got - want) <= 1e-10 * abs(want)
 
 

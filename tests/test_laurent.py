@@ -30,6 +30,7 @@ from torusbundles import laurent
 from torusbundles.laurent import SAMPLE_BUDGET
 
 from helpers import (
+    matrix_bytes,
     random_laurent,
     random_laurent_matrix,
     random_monomial_det_matrix,
@@ -82,10 +83,13 @@ def test_poly_eval_and_substitute():
 
 
 def test_poly_pruning_is_relative():
+    # input is exact, so the constructor keeps a term 1e-15 of the
+    # largest; a sum is computed and prunes it against its own largest
     p = LaurentPoly({0: 1.0, 5: 1e-15})
-    assert p.support == [0]
+    assert p.support == [0, 5]
+    assert (p + 0).support == [0]
     tiny = LaurentPoly({0: 1e-15})
-    assert not tiny.is_zero
+    assert not tiny.is_zero and not (tiny + 0).is_zero
 
 
 def test_poly_rejects_bad_input():
@@ -134,7 +138,8 @@ _ctor_key = st.one_of(
 @st.composite
 def _ctor_input(draw):
     """A dict for the constructor, or pairs with repeated exponents, with
-    sometimes one term at the PRUNE_REL boundary of the largest modulus."""
+    sometimes one term at the PRUNE_REL boundary of the largest modulus,
+    which the constructor keeps as it keeps every term."""
     pairs = draw(st.lists(st.tuples(_ctor_key, _ctor_value), max_size=7))
     # math.hypot, as abs(1e308+1e308j) raises OverflowError
     moduli = [math.hypot(v.real, v.imag) for _, v in pairs if type(v) is complex]
@@ -192,7 +197,7 @@ def test_ring_axioms(p, r, s):
 
 
 def _one_by_one(p):
-    return LaurentMatrix([[p]], prune=False)
+    return LaurentMatrix([[p]])
 
 
 @given(_poly, _poly, _coeff, _scale)
@@ -290,9 +295,46 @@ def test_matrix_requires_square():
 
 
 def test_matrix_level_pruning():
+    # rows are input, kept as given; a sum prunes against the largest
+    # coefficient of the whole matrix, so it drops 1e-7, below 1e-12 * 1e6,
+    # although 1e-7 is the largest term of its own entry
     m = LaurentMatrix([[1e6, 1e-7], [0, 1]])
-    assert m.entry(0, 1).is_zero  # 1e-7 is below 1e-12 * 1e6
-    assert m.entry(1, 1) == LaurentPoly.one()
+    assert m.entry(0, 1) == LaurentPoly.constant(1e-7)
+    s = m + LaurentMatrix.zeros(2)
+    assert s.entry(0, 1).is_zero
+    assert s.entry(1, 1) == LaurentPoly.one()
+
+
+@pytest.mark.parametrize("big, small", [(1e13, 1.0), (1e6, 1e-7)])
+def test_every_kind_of_input_is_stored_as_given(big, small):
+    # the same terms read as rows of scalars, polynomials from mappings,
+    # a constant array or JSON give the same bytes, every term kept
+    def json_matrix(entries):
+        return matrix_from_json({"n": 2, "entries": [[{"k": k, "re": v, "im": 0.0} for k, v in e.items()]
+                                                     for e in entries]})
+
+    consts = [[big, small], [0, 1]]
+    want = matrix_bytes(LaurentMatrix(consts))
+    assert want[1] == (1, 2, 2) and np.count_nonzero(LaurentMatrix(consts)._c) == 3
+    assert matrix_bytes(LaurentMatrix.from_constant(consts)) == want
+    assert matrix_bytes(LaurentMatrix([[LaurentPoly.constant(v) for v in row] for row in consts])) == want
+    assert matrix_bytes(json_matrix([{0: big}, {0: small}, {}, {0: 1.0}])) == want
+
+    entries = [{0: big, 3: small}, {-2: small}, {}, {0: 1.0}]
+    rows = LaurentMatrix([[LaurentPoly(entries[0]), LaurentPoly(entries[1])], [0, LaurentPoly(entries[3])]])
+    assert matrix_bytes(json_matrix(entries)) == matrix_bytes(rows)
+    assert [[e.terms() for e in row] for row in rows.rows()] == [
+        [[(0, big + 0j), (3, small + 0j)], [(-2, small + 0j)]], [[], [(0, 1 + 0j)]]]
+
+
+def test_scaled_keeps_every_term_of_its_factor():
+    # p = 1e13 + u^8 read from JSON keeps its u^8 term; so does A.scaled(p),
+    # which is the Kronecker product [[p]] (x) A
+    p = laurent.terms_from_json([{"k": 0, "re": 1e13, "im": 0.0}, {"k": 8, "re": 1.0, "im": 0.0}])
+    a = LaurentMatrix([[1, 2j], [LaurentPoly.monomial(-1), 3]])
+    got = a.scaled(p)
+    assert matrix_bytes(got) == matrix_bytes(LaurentMatrix([[p]]).kron(a))
+    assert got.entry(1, 0).terms() == [(-1, 1e13 + 0j), (7, 1 + 0j)]
 
 
 def test_matrix_eval_is_multiplicative(rng):
@@ -409,7 +451,9 @@ _HUGE = LaurentMatrix([[1.5e308, 0], [0, 1]])
     lambda: _HUGE - (-_HUGE),
     lambda: _HUGE.scaled(LaurentPoly.monomial(2, 10.0)),
     lambda: _HUGE.scaled(LaurentPoly({0: 10.0, 1: 1.0})),
-], ids=["matmul", "kron", "add", "sub", "scaled monomial", "scaled poly"])
+    # a sampled det, read as the 1 x 1 matrix of its window
+    lambda: LaurentMatrix.diagonal([LaurentPoly({0: 1e200, 1: 1e200}), LaurentPoly({0: 1e200, 1: 1.0})]).det(),
+], ids=["matmul", "kron", "add", "sub", "scaled monomial", "scaled poly", "sampled det"])
 def test_overflowing_arithmetic_raises_without_a_numpy_warning(op):
     # the suite turns RuntimeWarning into an error, so a warning would come first
     with pytest.raises(ValueError) as exc:
@@ -452,8 +496,8 @@ def test_values_at_roots_fold_a_window_wider_than_the_sample(rng):
     # more slices than roots, contiguous and as a transposed view
     for n, k, lo in ((1, 37, -20), (3, 40, 5)):
         c = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
-        for m in (LaurentMatrix._from_coeffs(lo, c, prune=False),
-                  LaurentMatrix._from_coeffs(lo, c.transpose(0, 2, 1), prune=False)):
+        for m in (LaurentMatrix._from_coeffs(lo, c),
+                  LaurentMatrix._from_coeffs(lo, c.transpose(0, 2, 1))):
             for width in (5, 16):
                 want = np.array([m.eval_at(np.exp(2j * np.pi * t / width)) for t in range(width)])
                 assert np.abs(m._at_roots(width) - want).max() <= 1e-12 * k
@@ -468,7 +512,7 @@ def test_values_at_roots_match_the_inline_root_table(rng):
             arrays = (c[:k], c[:k].transpose(0, 2, 1))
             for lo in range(-60, 61):
                 for a in arrays:
-                    m = LaurentMatrix._from_coeffs(lo, a, prune=False)
+                    m = LaurentMatrix._from_coeffs(lo, a)
                     assert m._at_roots(width).tobytes() == reference_at_roots(m, width).tobytes()
 
 
@@ -483,7 +527,7 @@ def test_a_root_table_past_the_cap_is_built_but_not_kept(rng):
     width = 256  # a 256 x 256 table, 1 MiB, past TABLE_CAP
     assert width * width > laurent.TABLE_CAP
     c = rng.normal(size=(width, 1, 1)) + 0j
-    m = LaurentMatrix._from_coeffs(-7, c, prune=False)
+    m = LaurentMatrix._from_coeffs(-7, c)
     kept = laurent._root_table.cache_info().currsize
     tracemalloc.start()
     try:
@@ -582,7 +626,7 @@ def test_one_exponent_rows_invertibility_matches_sampled_criterion(rng):
             ]
         for want, mats in cases.items():
             for rows in mats:
-                m = LaurentMatrix(rows, prune=False)
+                m = LaurentMatrix(rows)
                 assert _sampled_criterion(m) is want
                 assert passes_sampled_invertibility(m) is want
     # rows scaled 1e200, 1e200, 1e-200, 1e-200, where the running product
@@ -592,7 +636,7 @@ def test_one_exponent_rows_invertibility_matches_sampled_criterion(rng):
     by_rows = _one_exponent_rows(rng, 4, scales)
     by_cols = [[p * s for p, s in zip(row, scales[::-1])] for row in _one_exponent_rows(rng, 4, [1.0] * 4)]
     for rows in (by_rows, by_cols):
-        m = LaurentMatrix(rows, prune=False)
+        m = LaurentMatrix(rows)
         assert _sampled_criterion(m) and passes_sampled_invertibility(m)
         [(k, det)] = m.det().terms()
         want = np.linalg.det(m.eval_at(1.0))
@@ -649,7 +693,7 @@ def test_translates_match_one_product_per_scale(rng):
         for width in (1, 3):
             base = rng.normal(size=(width + 2, n, n)) + 1j * rng.normal(size=(width + 2, n, n))
             for c in (base[:width], base[1:width + 1].transpose(0, 2, 1)):
-                m = LaurentMatrix._from_coeffs(-1, c, prune=False)
+                m = LaurentMatrix._from_coeffs(-1, c)
                 scales = [complex(*rng.normal(size=2)) for _ in range(4)]
                 for k in range(1, len(scales) + 1):
                     translates, failure = m._translate_stack(scales[:k])
@@ -727,7 +771,7 @@ def test_diagonal_matches_its_rows(rng):
     # 1e-14 stays: a diagonal is not pruned against its largest entry
     entries = [0, 2.5, -0.0, LaurentPoly({-3: 1j}), random_laurent(rng, -2, 3), 1e-14, LaurentPoly.monomial(4, 1e3)]
     n = len(entries)
-    want = LaurentMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], prune=False)
+    want = LaurentMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
     got = LaurentMatrix.diagonal(entries)
     assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
     with pytest.raises(ValueError):

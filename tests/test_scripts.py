@@ -91,3 +91,18 @@ def test_cg_table_exits_1_when_a_row_disagrees(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "  2   2   [4]                  [3, 1]                 <-- MISMATCH" in out.splitlines()
     assert out.endswith("\nsome rows disagree\n")
+
+
+def test_det_digest_exits_1_when_a_normal_form_blames_invertibility(monkeypatch, capsys):
+    digest = _load("det_digest")
+    assert digest.main(["--rmax", "1"]) == 0
+    capsys.readouterr()
+
+    def blamed(t, r, d, a):
+        raise ValueError("generator fails the sampled invertibility check (|det A(1)| = inf)")
+
+    monkeypatch.setattr(digest, "normal_form", blamed)
+    assert digest.main(["--rmax", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("tau 1j, a (0.6+0.2j), r 1, d -8: normal_form: "
+                        "ValueError: generator fails the sampled invertibility check (|det A(1)| = inf)")
