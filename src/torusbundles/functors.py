@@ -120,7 +120,10 @@ def dual(f: FactorOfAutomorphy) -> FactorOfAutomorphy:
     """Inverse transpose of the generator.
 
     Requires det A to be a monomial so the inverse stays in the Laurent
-    ring; raises NotInvertibleInRing otherwise.
+    ring; raises NotInvertibleInRing otherwise.  The inverse carries the
+    det (-k, 1/c) of det A = c u^k, unless its prune moved that det, and
+    the transpose keeps it, so the check of the dual factor reads that
+    pair.
     """
     return FactorOfAutomorphy(f.torus, f.A.inverse_monomial_det().transpose())
 

@@ -37,9 +37,11 @@ elimination, a triangular normal form core carries its own
 (_carry_triangular_det), a block companion the one its layout implies
 (_companion), and outside iterate, whose translates are intermediates,
 a translate that loses no coefficient keeps its base's window and
-carries d c^k when the base carries (k, d).  The invertibility check
-and classify.degree read the pair, and det() builds its LaurentPoly
-from it only when asked.
+carries d c^k when the base carries (k, d).  The inverse of a monomial
+det matrix carries (-k, 1/c) from the det (k, c) it read, unless its
+prune dropped coefficients that move that det, and a transpose keeps
+its matrix's pair.  The invertibility check and classify.degree read
+the pair, and det() builds its LaurentPoly from it only when asked.
 
 det, the inverse of a monomial det matrix and the symmetric and exterior
 powers take one path, LaurentMatrix._sampled: evaluate at the roots of
@@ -342,7 +344,8 @@ def _finite_terms(pairs: Iterable[tuple[int, complex]]) -> dict[int, complex]:
             e = int(k)
         else:
             raise TypeError(f"exponent must be an integer, got {k!r}")
-        v = complex(v)
+        if type(v) is not complex:
+            v = complex(v)
         try:
             a = abs(v)
         except OverflowError:  # finite parts whose modulus is past the double range
@@ -419,7 +422,9 @@ class LaurentMatrix:
 
     def __init__(self, rows: Sequence[Sequence]):
         """The matrix of ``rows``, each read once: entries are coerced to
-        LaurentPoly, and those with terms are written as they are."""
+        LaurentPoly, and those with terms are written as they are, each
+        term at its one index (k - lo) n^2 + i n + j of a flat view of the
+        zeroed coefficient array."""
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
@@ -436,11 +441,14 @@ class LaurentMatrix:
         exps = [k for _, _, terms in live for k in terms]
         lo = min(exps, default=0)
         hi = max(exps, default=lo - 1)
-        _check_budget("exponent", hi - lo + 1, n * n)
+        nn = n * n
+        _check_budget("exponent", hi - lo + 1, nn)
         c = np.zeros((hi - lo + 1, n, n), dtype=complex)
+        flat = c.ravel()  # a view: c is contiguous
         for i, j, terms in live:
+            at = i * n + j - lo * nn
             for k, v in terms.items():
-                c[k - lo, i, j] = v
+                flat[at + k * nn] = v
         self._set(lo, c)
 
     def _set(self, lo: int, c: np.ndarray) -> None:
@@ -598,10 +606,10 @@ class LaurentMatrix:
                 det = d * complex(c) ** k if same else 0j
             except ArithmeticError:
                 det = 0j
-            if 0.0 < math.hypot(det.real, det.imag) < math.inf:
+            pair = _unit_det(k, det)
+            if pair:
                 m = LaurentMatrix.__new__(LaurentMatrix)
-                # + 0j stores a zero part as +0, as _one_point_det does
-                m._lo, m._c, m._det = self._lo, a, (k, det + 0j)
+                m._lo, m._c, m._det = self._lo, a, pair
             else:
                 m = LaurentMatrix._from_coeffs(self._lo, a)
             out.append(m)
@@ -643,7 +651,10 @@ class LaurentMatrix:
         return out, failure
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1))
+        """The transpose, which keeps a carried det: det A^T = det A."""
+        m = LaurentMatrix._from_coeffs(self._lo, self._c.transpose(0, 2, 1))
+        m._det = self._det
+        return m
 
     def eval_at(self, u0: complex) -> np.ndarray:
         u0 = complex(u0)
@@ -733,7 +744,11 @@ class LaurentMatrix:
             if self._det is None:  # an elimination whose modulus is past the double range is not kept
                 raise ValueError(f"non-finite coefficient {point[1]!r} at exponent {point[0]}")
             return _poly_from_values(point[0], [point[1]])
-        ext = self._row_extremes()
+        return self._sampled_det(self._row_extremes())
+
+    def _sampled_det(self, ext: Optional[tuple[np.ndarray, np.ndarray]]) -> LaurentPoly:
+        """det()'s sampled det, on the window of the row extremes ``ext``
+        that _row_extremes took (zero when ext is None)."""
         if ext is None:
             return LaurentPoly.zero()
         lo, hi = int(ext[0].sum()), int(ext[1].sum())
@@ -744,11 +759,11 @@ class LaurentMatrix:
         """The det c u^k as the pair (k, c), when it is known without
         sampling: the pair the matrix carries, or else _one_point_det's.
         A pair is carried, with a finite modulus and any zero part stored
-        as +0, by _one_point_det, _carry_triangular_det, _companion and
-        _translate_matrices; a zero det is the
-        pair (k, 0j).  An elimination whose modulus is not finite is
-        returned but not carried.  None when no pair is carried and some
-        row holds more than one exponent."""
+        as +0, by _one_point_det, _carry_triangular_det, _companion,
+        _translate_matrices, inverse_monomial_det and transpose; a zero
+        det is the pair (k, 0j).  An elimination whose modulus is not
+        finite is returned but not carried.  None when no pair is carried
+        and some row holds more than one exponent."""
         return self._det or self._one_point_det()
 
     def _one_point_det(self) -> Optional[tuple[int, complex]]:
@@ -791,26 +806,57 @@ class LaurentMatrix:
         c u^k, so its support lies in [sum(lows) - max(lows) - k,
         sum(highs) - min(highs) - k]; the samples are inverted in one
         batch.  det is read from _monomial_det's pair when it is nonzero
-        and carried, else taken by det().
+        and carried, else taken by det(), whose sampled window reuses
+        the row extremes that the inverse's window is read from.
+
+        The inverse carries (-k, 1/c) when 1/c has a finite, nonzero
+        modulus and the prune moved its det by about 1e-9 of itself at
+        most.  With D the coefficients the prune dropped and |X| the
+        n x n matrix sum_k |X_k| of entrywise moduli, |A(u) D(u)| <=
+        |A| |D| entrywise on the circle, so det(A S) for the stored
+        inverse S moves from 1 by about n times the sum of the entries
+        of |A| |D| at most.  Past 1e-9, as when the prune drops a unit
+        entry of an inverse whose coefficients span 1e12 or more,
+        nothing is carried, and the check and det() judge S as stored.
         """
-        mono = self._monomial_det()
+        mono, ext = self._monomial_det(), self._row_extremes()
         if self._det is None or not mono[1]:
-            det = self.det()
+            det = self._sampled_det(ext) if mono is None else self.det()
             mono = det.is_monomial()
             if mono is None:
                 raise NotInvertibleInRing(
                     f"det = {det} is not a monomial, so the matrix has no inverse with Laurent entries"
                 )
-        lows, highs = self._row_extremes()
-        lo = int(lows.sum() - lows.max()) - mono[0]
-        hi = int(highs.sum() - highs.min()) - mono[0]
-        return LaurentMatrix._pruned(lo, self._sampled(lo, hi, np.linalg.inv))
+        k, c = mono
+        lows, highs = ext
+        lo = int(lows.sum() - lows.max()) - k
+        hi = int(highs.sum() - highs.min()) - k
+        samples = self._sampled(lo, hi, np.linalg.inv)
+        inv = LaurentMatrix._pruned(lo, samples)
+        # the dropped coefficients D: samples less inv's window, whose
+        # entries are the samples' or 0
+        dropped = samples.copy()
+        at = inv._lo - lo
+        dropped[at:at + len(inv._c)] -= inv._c
+        # n times the sum of the entries of |A| |D|: n sum_(w, j, l) a_j |D_wjl|, a_j = sum_(k, i) |A_kij|
+        n = self.n
+        moved = n * float((np.abs(dropped) * np.abs(self._c).reshape(-1, n).sum(axis=0)[:, None]).sum())
+        if moved <= 1e-9:
+            inv._det = _unit_det(-k, 1 / c)
+        return inv
 
     # -- io and display -----------------------------------------------------
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows())
         return f"LaurentMatrix[{body}]"
+
+
+def _unit_det(k: int, det: complex) -> Optional[tuple[int, complex]]:
+    """The det pair (k, det) to carry when det has a finite, nonzero
+    modulus, its zero parts stored as +0 as _one_point_det stores them;
+    else None."""
+    return (k, det + 0j) if 0.0 < math.hypot(det.real, det.imag) < math.inf else None
 
 
 def _check_budget(what: str, width: int, per_point: int) -> None:
@@ -933,12 +979,16 @@ def _pivot_det(m: list[list[complex]]) -> complex:
             m[k], m[p] = m[p], m[k]
             det, sign = -det, -sign
         det *= piv
-        top = m[k]
+        # the pivot row's tail, sliced once a row below needs it: none
+        # does in a triangular matrix
+        tail = None
         for row in m[k + 1:]:
             f = row[k]
             if f:
+                if tail is None:
+                    tail = m[k][k + 1:]
                 f /= piv
-                row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], top[k + 1:])]
+                row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
     if (det and cmath.isfinite(det)) or not all(cmath.isfinite(m[k][k]) for k in range(n)):
         return det
     pivots = np.array([m[k][k] for k in range(n)])
@@ -1026,9 +1076,9 @@ def _invertibility_failure(mat: LaurentMatrix, name: str) -> Optional[str]:
 
     |det| is constant on the circle, and the check is one number,
     0 < |c| < inf ("|det A(1)| = 0"), when _monomial_det gives det as
-    the pair (k, c): when mat carries it, as normal forms and their
-    companions do, or when each row holds one exponent, where it takes
-    det()'s elimination.
+    the pair (k, c): when mat carries it, as normal forms, their
+    companions and the inverses of monomial det matrices do, or when each
+    row holds one exponent, where it takes det()'s elimination.
     """
     point = mat._monomial_det()
     if point is not None:

@@ -90,6 +90,26 @@ def matrix_bytes(m):
     return m._lo, m._c.shape, m._c.tobytes(), det
 
 
+def reference_matrix(rows):
+    """The lowest exponent and coefficient array LaurentMatrix(rows)
+    stores, by the plain rule: each entry taken as a LaurentPoly, a
+    scalar as a constant, and each term written at (exponent - lo, row,
+    column) of a zeroed array from the lowest to the highest exponent of
+    the entries.  An oracle for the constructor's flat writes."""
+    n = len(rows)
+    polys = [[e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e) for e in row] for row in rows]
+    exps = [k for row in polys for p in row for k in p.support]
+    if not exps:
+        return 0, np.zeros((0, n, n), dtype=complex)
+    lo = min(exps)
+    c = np.zeros((max(exps) - lo + 1, n, n), dtype=complex)
+    for i, row in enumerate(polys):
+        for j, p in enumerate(row):
+            for k, v in p.terms():
+                c[k - lo, i, j] = v
+    return lo, c
+
+
 def reference_poly_terms(coeffs):
     """The terms LaurentPoly(coeffs) stores, by the plain two-pass rule:
     check and sum every term, then check every sum.  An oracle for the

@@ -28,6 +28,7 @@ from torusbundles.functors import _sym_step
 from helpers import (
     matrix_bytes,
     random_constant_invertible,
+    random_monomial_det_matrix,
     random_single_exponent_factor,
     reference_sym_power,
     reference_wedge_power,
@@ -458,3 +459,69 @@ def test_tensor_of_normal_forms_has_atiyahs_degree(name, r, d):
     for rp, dp in _PARTNERS:
         f = tensor(e, _atiyah_form(name, rp, dp, 0.9 - 0.1j))
         assert (f.rank, degree(f)) == (r * rp, rp * d + r * dp)
+
+
+def _det_carrying_factors():
+    """(kind, factor) on both tori: draws of random_monomial_det_matrix
+    with mixed exponents in a row, whose check samples det and keeps
+    nothing; draws of random_single_exponent_factor, whose check keeps
+    its elimination; and the normal forms of _GRID, which carry their
+    det from how they are built."""
+    rng = np.random.default_rng(26)
+    for tau in _TAUS.values():
+        t = Torus(tau)
+        for n in range(2, 7):
+            a = random_monomial_det_matrix(rng, n)
+            while a._one_point_det() is not None:
+                a = random_monomial_det_matrix(rng, n)
+            yield "mixed", FactorOfAutomorphy(t, a)
+            yield "single", random_single_exponent_factor(rng, t, n)
+    for name, r, d in _GRID:
+        yield "normal form", _atiyah_form(name, r, d)
+
+
+def test_inverse_and_transpose_carry_the_det_of_a_fresh_copy():
+    for kind, f in _det_carrying_factors():
+        assert (f.A._det is None) == (kind == "mixed")
+        inv = f.A.inverse_monomial_det()
+        assert f.A.transpose()._det == f.A._det and inv.transpose()._det == inv._det
+        for m in (inv, inv.transpose(), f.A.transpose()):
+            if m._det is None:
+                continue
+            k, c = m._det
+            # a copy that carries no det: elimination for one exponent per
+            # row, else a sampled det
+            fresh = LaurentMatrix._from_coeffs(m._lo, m._c.copy())
+            gap = fresh.det() - LaurentPoly.monomial(k, c)
+            assert gap.max_coeff() <= 1e-12 * abs(c), (kind, m.n, k, c)
+
+
+def test_dual_reads_the_det_its_inverse_took(monkeypatch):
+    from torusbundles import laurent
+
+    taken = []
+    for kind, f in _det_carrying_factors():
+        # a mixed factor carries no det, so its inverse samples det A; the
+        # transpose of that inverse is what the spy below watches
+        inv = f.A.inverse_monomial_det() if kind == "mixed" else None
+        taken.append((f, degree(f), inv))
+    calls = []
+    det, pivot_det = np.linalg.det, laurent._pivot_det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    monkeypatch.setattr(laurent, "_pivot_det", lambda m: calls.append(len(m)) or pivot_det(m))
+    for f, deg, inv in taken:
+        g = dual(f) if inv is None else FactorOfAutomorphy(f.torus, inv.transpose())
+        assert degree(g) == -deg
+    assert calls == []
+
+
+@pytest.mark.parametrize("span", [1e12, 1e13, 1e15])
+def test_an_inverse_that_loses_an_entry_to_the_prune_carries_no_det(span):
+    # A^-1 = I - span u E_21: the prune drops its unit diagonal, which is
+    # at most 1e-12 of span, so the stored matrix is singular and carries
+    # nothing, and the check of the dual factor finds det 0 as it stands
+    f = FactorOfAutomorphy(Torus(1j), LaurentMatrix([[1, 0], [LaurentPoly({1: span}), 1]]))
+    inv = f.A.inverse_monomial_det()
+    assert inv._det is None and not inv._c.any(axis=(0, 2)).all()
+    with pytest.raises(ValueError, match=r"\|det A\(1\)\| = 0"):
+        dual(f)

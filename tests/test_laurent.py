@@ -36,6 +36,7 @@ from helpers import (
     random_monomial_det_matrix,
     random_single_exponent_matrix,
     reference_at_roots,
+    reference_matrix,
     reference_pivot_det,
     reference_poly_terms,
 )
@@ -172,6 +173,40 @@ def _outcome(build, coeffs):
 def test_constructor_matches_the_two_pass_reference(coeffs):
     # items, their order and coefficient bytes, or the error type and text
     assert _outcome(lambda d: LaurentPoly(d)._c, coeffs) == _outcome(reference_poly_terms, coeffs)
+
+
+_zero_entry = st.sampled_from([0, 0.0, -0.0, 0j, complex(-0.0, -0.0), np.float64(0.0), np.complex128(0), LaurentPoly()])
+_scalar_entry = st.one_of(
+    st.integers(-5, 5), st.floats(-3, 3), st.complex_numbers(max_magnitude=3.0),
+    st.integers(-5, 5).map(np.int64), st.floats(-3, 3).map(np.float64),
+    st.complex_numbers(max_magnitude=3.0).map(np.complex128),
+)
+_term = st.tuples(st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(np.int64)),
+                  st.complex_numbers(max_magnitude=3.0))
+_poly_entry = st.one_of(
+    st.dictionaries(st.integers(-4, 4), st.complex_numbers(max_magnitude=3.0), max_size=5).map(LaurentPoly),
+    # a mapping whose exponents repeat: terms, then negated copies of some,
+    # so a sum may cancel
+    st.lists(_term, min_size=1, max_size=4).flatmap(lambda ts: st.lists(st.sampled_from(ts), max_size=3).map(
+        lambda again: LaurentPoly(_Pairs(ts + [(k, -v) for k, v in again])))),
+)
+
+
+@st.composite
+def _matrix_rows(draw):
+    n = draw(st.integers(1, 9))
+    entry = draw(st.sampled_from([_zero_entry, _scalar_entry, _poly_entry,
+                                  st.one_of(_zero_entry, _scalar_entry, _poly_entry)]))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_rows())
+def test_matrix_constructor_matches_the_term_by_term_reference(rows):
+    m = LaurentMatrix(rows)
+    lo, c = reference_matrix(rows)
+    assert (m._lo, m._c.shape, m._c.tobytes()) == (lo, c.shape, c.tobytes())
+    assert m._det is None
 
 
 def test_monomial_units():
