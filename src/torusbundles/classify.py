@@ -30,7 +30,7 @@ from .laurent import (
     _check_integer,
     _integer_from_json,
 )
-from .cocycle import FactorOfAutomorphy, _is_triangular, _walk_powers
+from .cocycle import _CLUSTER_TOL, FactorOfAutomorphy, _is_triangular, _walk_powers
 from .isogeny import IsogenyContext, companion_block, pushforward
 
 __all__ = [
@@ -235,8 +235,8 @@ def recognize_deg0(f: FactorOfAutomorphy, nu_range: int = 64) -> Optional[Bundle
     n = f.A.n
     diag = np.diag(m)
     lam = complex(diag[0])
-    if any(abs(v - lam) > 1e-8 * (1.0 + abs(lam)) for v in diag):
+    if any(abs(v - lam) > _CLUSTER_TOL * (1.0 + abs(lam)) for v in diag):
         return None
-    if _walk_powers(m, lam, n).partition != (n,):
+    if _walk_powers(m, lam).partition != (n,):
         return None
     return BundleDescriptor(n, 0, reduce_param(f.torus, lam, max_power=nu_range))

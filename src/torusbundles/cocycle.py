@@ -237,11 +237,11 @@ def jordan_type_unipotent(mat, eigenvalue: complex = 1.0) -> tuple[int, ...]:
     the number of blocks of size j is r_{j-1} - 2 r_j + r_{j+1}.
     Returned sizes are sorted descending and sum to the matrix size.
 
-    The nilpotency test compares |M^n| with 1e-8 |M|^n in logs, and the
-    walk starts from the singular values of M that |M| is read from.
-    Entries and the eigenvalue must be finite, and a power M^k past the
-    double range is a ValueError that names k (_finite_power); none of
-    these warns.
+    The nilpotency test compares |M^n| with 1e-8 |M|^n in logs; the
+    walk then takes the powers of M in one pass, SVD'd in one stacked
+    LAPACK call (_walk_powers).  Entries and the eigenvalue must be
+    finite, and a power M^k past the double range is a ValueError that
+    names k (_finite_power); none of these warns.
     """
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -250,12 +250,11 @@ def jordan_type_unipotent(mat, eigenvalue: complex = 1.0) -> tuple[int, ...]:
     n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         m = _finite_power(a - complex(eigenvalue) * np.eye(n), a, eigenvalue, 1)
-        sing = _singular_values(m)
-        norm = max(1.0, float(sing[0]))
+        norm = max(1.0, float(_singular_values(m)[0]))
         size = float(_singular_values(_finite_power(np.linalg.matrix_power(m, n), a, eigenvalue, n))[0])
     if size > 0.0 and math.log(size) > math.log(1e-8) + n * math.log(norm):
         raise NotNilpotent(f"matrix minus {eigenvalue} is not nilpotent (|M^{n}| = {size:.3e})")
-    walk = _walk_powers(a, eigenvalue, n, sing)
+    walk = _walk_powers(a, eigenvalue)
     if sum(walk.partition) != n:
         raise ArithmeticError(f"inconsistent rank sequence {walk.ranks}")
     return walk.partition
@@ -303,84 +302,54 @@ def _check_finite(a: np.ndarray, eigenvalues: Sequence[complex] = ()) -> None:
             raise ValueError(f"eigenvalues must be finite, got {v}")
 
 
-def _more_powers(ranks: list[int], stable: int) -> int:
-    """The fewest powers a walk at ranks must still take to end, with
-    stable = n - mult the rank it settles at.  The rank drops of a
-    nilpotent part never grow (its Weyr characteristic), so from rank r,
-    reached by a drop d, it takes at least ceil((r - stable) / d) powers to
-    reach stable, and then, when stable > 0, the two equal ranks that end
-    the walk.  One more when the last drop is not positive."""
-    r, drop = ranks[-1], ranks[-2] - ranks[-1]
-    if r == 0 or len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]:
-        return 0
-    if drop <= 0:
-        return 1
-    return -(-max(r - stable, 0) // drop) + (2 if stable > 0 else 0)
-
-
-def _walk_powers(a: np.ndarray, lam: complex, mult: int, sing: Optional[np.ndarray] = None) -> _PowerWalk:
+def _walk_powers(a: np.ndarray, lam: complex) -> _PowerWalk:
     """Powers M^k of M = a - lam I with their numerical ranks, orthonormal
-    kernel bases (columns) and the Jordan partition of lam inside a, where
-    lam has algebraic multiplicity mult.
+    kernel bases (columns) and the Jordan partition of lam inside a.
 
-    Each power takes one SVD.  Rank thresholds scale with each power's own
-    largest singular value; a fixed floor of the form c * |M|^k is useless
-    here because a long Jordan chain makes the genuine singular values of
-    M^k fall many orders below |M|^k.  A power whose largest singular
-    value sits at roundoff level relative to the previous one (growth by
-    |M| times 1e-8 slack) is snapped to the exact zero matrix, so its
-    kernel is the whole space.  The walk stops at the zero power or once
-    three ranks agree; past its end the ranks stay at the last one, and
-    r_{j-1} - 2 r_j + r_{j+1} blocks have size j (other eigenvalues keep
-    full rank and drop out of the differences).
+    Rank thresholds scale with each power's own largest singular value; a
+    fixed floor of the form c * |M|^k is useless here because a long
+    Jordan chain makes the genuine singular values of M^k fall many orders
+    below |M|^k.  A power whose largest singular value sits at roundoff
+    level relative to the previous one (growth by |M| times 1e-8 slack) is
+    snapped to the exact zero matrix, so its kernel is the whole space.
+    The walk stops at the zero power or once three ranks agree; past its
+    end the ranks stay at the last one, and r_{j-1} - 2 r_j + r_{j+1}
+    blocks have size j (other eigenvalues keep full rank and drop out of
+    the differences).
 
-    The powers M^k = M^(k-1) @ M are taken in batches, each SVD'd in one
-    stacked LAPACK call, which is the call a single power takes, so the
-    walk does not depend on where a batch ends.  A batch holds the fewest
-    powers the walk must still take (_more_powers); the first is sized from
-    the singular values of M that |M| is read from, ``sing`` when the
-    caller has taken them.  So a Jordan block takes two LAPACK calls, and
-    a power past the walk's end is taken only when the computed ranks
-    break the Weyr rule, never past M^n.  Powers are taken without numpy
-    warnings.  A batch ends before its first non-finite power, which
-    starts the next batch and raises there (_finite_power), so a power
-    the walk reaches fails as it would one at a time, and one past the
-    end raises nothing.  The identities come from a kept table
-    (_identities).
+    The walk takes one pass: M^k = M^(k-1) @ M for k = 1 .. n into one
+    array, stopping at the first power that is exactly zero, and the
+    powers before the first non-finite one in one stacked SVD, whose first
+    singular value is |M|.  So a Jordan block takes one LAPACK call, and
+    powers past the walk's end are SVD'd when no exactly zero power ends
+    it first.  Powers are taken without numpy warnings; a non-finite power
+    raises only when the walk reaches it (_finite_power).  The identities
+    come from a kept table (_identities).
     """
     n = a.shape[0]
     eye, eye_c = _identities(n)
+    stack = np.empty((n, n, n), dtype=complex)
+    size = 0
     with np.errstate(over="ignore", invalid="ignore"):
         m = a - complex(lam) * eye
-    if sing is None:
-        sing = _singular_values(_finite_power(m, a, lam, 1))
-    nrm = float(sing[0])
+        prev = eye_c
+        while size < n and prev.any():
+            prev = np.matmul(prev, m, out=stack[size])
+            size += 1
     powers = [eye_c]
     kernels = [np.zeros((n, 0), dtype=complex)]
     ranks = [n]
-    tol = max(1e-10, n * np.finfo(float).eps)
-    prev_top = max(1.0, nrm)
-    growth = 1.0
-    # the rank of M by the walk's rule on these singular values, to size the first batch
-    guess = 0 if nrm <= 1e-8 * prev_top else int(np.sum(sing > nrm * tol))
-    size = 1 + _more_powers([n, guess], n - mult)
-    while size and len(ranks) <= n:
-        size = min(size, n + 1 - len(ranks))
-        batch = np.empty((size, n, n), dtype=complex)
-        prev = powers[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(size):
-                prev = np.matmul(prev, m, out=batch[i])
-        # the batch ends before a non-finite power, which the walk reaches
-        # only as the first of the next batch
-        _finite_power(batch[0], a, lam, len(ranks))
-        finite = np.isfinite(batch).all(axis=(1, 2))
-        size = size if finite.all() else int(np.argmin(finite))
-        _, s, vh = np.linalg.svd(batch[:size])
+    if size:
+        _finite_power(stack[0], a, lam, 1)
+        finite = np.isfinite(stack[:size]).all(axis=(1, 2))
+        end = size if finite.all() else int(np.argmin(finite))
+        _, s, vh = np.linalg.svd(stack[:end])
         tops = s[:, 0]
-        kept = np.sum(s > tops[:, None] * tol, axis=1)
-        for i, (top, rank) in enumerate(zip(tops.tolist(), kept.tolist())):
-            nxt, v = batch[i], vh[i]
+        kept = np.sum(s > tops[:, None] * max(1e-10, n * np.finfo(float).eps), axis=1)
+        nrm = float(tops[0])
+        prev_top = max(1.0, nrm)
+        growth = 1.0
+        for top, rank, nxt, v in zip(tops.tolist(), kept.tolist(), stack, vh):
             if top <= 1e-8 * prev_top * growth:
                 nxt, v, rank = np.zeros((n, n), dtype=complex), eye_c, 0
             powers.append(nxt)
@@ -389,7 +358,9 @@ def _walk_powers(a: np.ndarray, lam: complex, mult: int, sing: Optional[np.ndarr
             if rank == 0 or (len(ranks) > 2 and ranks[-1] == ranks[-2] == ranks[-3]):
                 break
             prev_top, growth = top, nrm
-        size = _more_powers(ranks, n - mult)
+        else:
+            if end < size:
+                _finite_power(stack[end], a, lam, end + 1)
 
     def r(k: int) -> int:
         return ranks[min(k, len(ranks) - 1)]
@@ -510,8 +481,8 @@ def equivalent_constant(a, b, eigenvalues: Optional[Sequence[complex]] = None) -
     for (va, ma), (vb, mb) in zip(ca, cb):
         if ma != mb or abs(va - vb) > _CLUSTER_TOL * (1.0 + abs(va)):
             return None
-    walks_a = [_walk_powers(am, v, mult) for v, mult in ca]
-    walks_b = [_walk_powers(bm, v, mult) for v, mult in cb]
+    walks_a = [_walk_powers(am, v) for v, _ in ca]
+    walks_b = [_walk_powers(bm, v) for v, _ in cb]
     if [wa.partition for wa in walks_a] != [wb.partition for wb in walks_b]:
         return None
     w = _jordan_basis(walks_a) @ np.linalg.inv(_jordan_basis(walks_b))

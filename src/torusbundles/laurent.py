@@ -140,7 +140,8 @@ class NotNilpotent(TorusBundleError):
 
 @dataclass(frozen=True)
 class Torus:
-    """The multiplicative torus C*/<q> with modulus tau, Im tau > 0.
+    """The multiplicative torus C*/<q> with modulus tau, Im tau > 0 and
+    |q| below 1 in doubles.
 
     ``q = exp(2*pi*i*tau)`` and ``s = exp(pi*i*tau)`` is the fixed square
     root of q used whenever half integer powers of q appear; q is stored
@@ -158,9 +159,13 @@ class Torus:
         if tau.imag <= 0:
             raise ValueError(f"tau must have positive imaginary part, got {tau!r}")
         s = cmath.exp(1j * cmath.pi * tau)
+        q = s * s
+        if abs(q) >= 1.0:
+            raise ValueError(f"tau = {tau!r} gives |q| = {abs(q)!r} in doubles; "
+                             f"|q| must be below 1 (Im tau above about 1.8e-17)")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "q", s * s)
+        object.__setattr__(self, "q", q)
 
 
 def same_torus(t1: Torus, t2: Torus) -> bool:

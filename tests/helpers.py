@@ -238,8 +238,8 @@ def reference_wedge_power(a, k):
 
 
 def reference_walk_powers(a, lam):
-    """cocycle._walk_powers as it was before it took its powers in
-    batches: one np.linalg.norm and then one SVD per power."""
+    """cocycle._walk_powers as it was before it SVD'd its powers in one
+    stacked call: one np.linalg.norm and then one SVD per power."""
     n = a.shape[0]
     m = a - lam * np.eye(n)
     nrm = float(np.linalg.norm(m, 2))

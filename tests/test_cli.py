@@ -423,6 +423,14 @@ def test_bad_tau_is_domain_error(capsys, monkeypatch):
     assert "ValueError" in err
 
 
+def test_a_tau_whose_nome_rounds_to_one_is_domain_error(capsys, monkeypatch):
+    # deg0-form --tau 0+1e-20i | recognize once divided by log|q| = 0
+    code, out, err = run(capsys, monkeypatch, ["deg0-form", "--tau", "0+1e-20i", "-r", "2", "--param=0.5"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["ValueError: tau = 1e-20j gives |q| = 1.0 in doubles; "
+                                "|q| must be below 1 (Im tau above about 1.8e-17)"]
+
+
 def test_zero_isogeny_degree_is_domain_error(capsys, monkeypatch):
     _, factor, _ = run(capsys, monkeypatch, [
         "normal-form", "--tau", "0+1i", "-r", "2", "-d", "1", "-a", "1"])

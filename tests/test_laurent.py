@@ -58,6 +58,14 @@ def test_torus_rejects_lower_half_plane():
             Torus(bad)
 
 
+@pytest.mark.parametrize("tau", [1e-20j, 0.5 + 1e-18j, 1.7e-17j])
+def test_torus_rejects_a_nome_that_rounds_to_the_unit_circle(tau):
+    with pytest.raises(ValueError, match=rf"^tau = {re.escape(repr(tau))} gives \|q\| = 1.0 in doubles; "
+                                         r"\|q\| must be below 1 \(Im tau above about 1.8e-17\)$"):
+        Torus(tau)
+    assert abs(Torus(tau + 1.9e-17j).q) < 1.0
+
+
 def test_torus_json_roundtrip():
     t = Torus(0.3 + 1.1j)
     assert torus_from_json(torus_to_json(t)).tau == t.tau
