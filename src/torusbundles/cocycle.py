@@ -32,9 +32,10 @@ from .laurent import (
     _check_integer,
     _invertibility_failure,
     _kept_tables,
-    _product,
+    _reversed_flat,
     _require_same_torus,
     _trimmed,
+    _window_product,
     matrices_close,
     matrix_from_json,
     matrix_to_json,
@@ -115,15 +116,20 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
     NotInvertibleInRing otherwise.
 
     The translates are taken as one stack, in chunks of at most
-    SAMPLE_BUDGET elements, and multiplied through in order by the
-    coefficient arrays, with the kernel and the trimmed windows of @,
-    so the result is that of the product one @ at a time, byte for
-    byte, and nothing is pruned.  All products run under one
-    np.errstate, and one matrix is built at the end.  Each power q^i is
-    taken inside the stack's guard, and a translate that fails is raised
-    after the product of those before it, so the first error is the one
-    a product of one substitution at a time meets first.  A product
-    whose coefficients all underflow to 0 raises ValueError.
+    SAMPLE_BUDGET elements, and their _reversed_flat slices as one copy
+    of each chunk.  The running product lives in a buffer with K - 1
+    zero slices on each side of its live window, K the slices of A.
+    Each translate is one _window_product, the kernel of @, into the
+    next such buffer, whose live window is then trimmed of its zero end
+    slices in place, as @ trims.  So the result is that of the product
+    one @ at a time, byte for byte, and nothing is pruned; a translate
+    that lost an end slice to underflow enters whole, its zero slices
+    adding exact zeros.  All products run under one np.errstate, and
+    one matrix is built at the end.  Each power q^i is taken inside the
+    stack's guard, and a translate that fails is raised after the
+    product of those before it, so the first error is the one a product
+    of one substitution at a time meets first.  A product whose
+    coefficients all underflow to 0 raises ValueError.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise TypeError(f"m must be an integer, got {m!r}")
@@ -134,24 +140,40 @@ def iterate(f: FactorOfAutomorphy, m: int) -> LaurentMatrix:
         return f.A
     if m > 0:
         base, powers = f.A, range(1, m)
-        lo, acc = base._lo, base._c
     else:
         base, powers = f.A.inverse_monomial_det(), range(-1, m - 1, -1)
-        lo, acc = 0, None
+    k, n = base._c.shape[:2]
+    pad = k - 1
+
+    def padded(c: np.ndarray) -> np.ndarray:
+        buf = np.zeros((len(c) + 2 * pad, n, n), dtype=complex)
+        buf[pad:pad + len(c)] = c
+        return buf
+
+    # the running product: sum_j buf[start + j] u^(lo + j) for j < live,
+    # with at least pad zero slices on each side; A itself for m > 0
+    lo, start, live, buf = base._lo, pad, k, padded(base._c) if m > 0 else None
     chunk = max(1, SAMPLE_BUDGET // base._c.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(powers), chunk):
-            stack, failure = base._translate_stack(q ** i for i in powers[start:start + chunk])
-            for t in stack:
-                if acc is None:
-                    lo, acc = _trimmed(base._lo, t)
-                else:
-                    lo, acc = _trimmed(lo + base._lo, _product(t, acc))
+        for first in range(0, len(powers), chunk):
+            stack, failure = base._translate_stack(q ** i for i in powers[first:first + chunk])
+            for t, flat in zip(stack, _reversed_flat(stack)):
+                if buf is None:  # A(-1, u) = A^(-1)(q^-1 u), trimmed as @ trims it
+                    lo, t = _trimmed(base._lo, t)
+                    live, buf = len(t), padded(t)
+                elif live:
+                    width = live + pad
+                    nxt = np.zeros((width + 2 * pad, n, n), dtype=complex)
+                    out = nxt[pad:pad + width]
+                    _window_product(flat, buf[start - pad:start + live + pad], out)
+                    at = lo + base._lo
+                    lo, window = _trimmed(at, out)
+                    buf, start, live = nxt, pad + lo - at, len(window)
             if failure is not None:
                 raise failure
-    if not len(acc):
+    if not live:
         raise ValueError(f"A(m, u) underflows to the zero matrix at m = {m}")
-    return LaurentMatrix._from_coeffs(lo, acc)
+    return LaurentMatrix._from_coeffs(lo, buf[start:start + live])
 
 
 def check_witness(f: FactorOfAutomorphy, g: FactorOfAutomorphy, w: EquivalenceWitness) -> bool:

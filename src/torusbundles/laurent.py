@@ -23,13 +23,15 @@ sums repeated exponents.  Its arithmetic is the 1 x 1 case of the matrix
 arithmetic below, so a polynomial and a matrix follow one rule for each
 operation.  A LaurentMatrix is its lowest exponent plus one dense
 complex array of shape (K, n, n), coefficient slices of consecutive
-exponents.  A product is one kernel, _product:
-one GEMM for every pair of slices, added along the sum of their
-exponents, and one test that every modulus is finite.  Substitution
-u -> c u multiplies by the weights c^k, for several scales c in one
-broadcast, _translate_stack.  iterate and the isogeny round trip take
-all their translates A(q^i u) as such a stack, with each power q^i
-taken inside the stack's guard.
+exponents.  A product is one kernel, _window_product: the slices of
+one factor, reversed and side by side, times every Toeplitz window of
+the other, stored between zero slices, in one stacked matmul over a
+strided view with no copy, and one test that every modulus is finite.
+@ and iterate both run it (_product is @'s).  Substitution u -> c u
+multiplies by the weights c^k, for several scales c in one broadcast,
+_translate_stack.  iterate and the isogeny round trip take all their
+translates A(q^i u) as such a stack, with each power q^i taken inside
+the stack's guard.
 
 A matrix may carry its det c u^k as the pair (k, c), set by how it was
 built: a matrix with one exponent per row keeps _one_point_det's
@@ -596,7 +598,8 @@ class LaurentMatrix:
         self's nonzero count, so one count of the stack tells when no
         translate lost any; else one count per translate, over the
         stack, tells which did."""
-        stack, failure = self._translate_stack(scales)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack, failure = self._translate_stack(scales)
         if self._det is None:
             return [LaurentMatrix._from_coeffs(self._lo, a) for a in stack], failure
         k, d = self._det
@@ -629,7 +632,9 @@ class LaurentMatrix:
         fails, whether its power, a weight or the product, as
         substitute_scaled describes, and returns the translates before it
         with that error, or None.  The moduli are tested in
-        _check_moduli's two steps, the second one translate by one."""
+        _check_moduli's two steps, the second one translate by one.  Run
+        under np.errstate(over="ignore", invalid="ignore"), which iterate
+        and _translate_matrices enter."""
         lo, width = self._lo, len(self._c)
         taken, weights, failure = [], [], None
         try:
@@ -642,17 +647,16 @@ class LaurentMatrix:
                 taken.append(c)
         except ArithmeticError as exc:
             failure = exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            # self._c[None], not self._c: numpy picks its multiply loop by the
-            # operands' strides, and this way each element takes the loop,
-            # and gets the bytes, of the one-scale product _c * w[:, None, None]
-            out = self._c[None] * np.array(weights, dtype=complex).reshape(len(taken), width, 1, 1)
-            if not math.isfinite(np.vdot(out, out).real):
-                finite = np.isfinite(np.abs(out)).all(axis=(1, 2, 3))
-                if not finite.all():
-                    j = int(finite.argmin())
-                    failure = ValueError(f"non-finite coefficient after substituting u -> {taken[j]} u")
-                    out = out[:j]
+        # self._c[None], not self._c: numpy picks its multiply loop by the
+        # operands' strides, and this way each element takes the loop, and
+        # gets the bytes, of the one-scale product _c * w[:, None, None]
+        out = self._c[None] * np.array(weights, dtype=complex).reshape(len(taken), width, 1, 1)
+        if not math.isfinite(np.vdot(out, out).real):
+            finite = np.isfinite(np.abs(out)).all(axis=(1, 2, 3))
+            if not finite.all():
+                j = int(finite.argmin())
+                failure = ValueError(f"non-finite coefficient after substituting u -> {taken[j]} u")
+                out = out[:j]
         return out, failure
 
     def transpose(self) -> "LaurentMatrix":
@@ -928,25 +932,40 @@ def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the product of the matrices with coefficient
     arrays a, (Ka, n, n), and b, (Kb, n, n), whose lowest exponents add:
-    shape (Ka + Kb - 1, n, n), or (0, n, n) when either is zero.  Every
-    slice product a[i] @ b[j] comes from one GEMM, and they are added
-    along i + j, one slice add per slice of the shorter factor; nothing
-    is pruned, and the result is checked with _check_moduli.  Run under
-    np.errstate(over="ignore", invalid="ignore")."""
+    shape (Ka + Kb - 1, n, n), or (0, n, n) when either is zero.  b is
+    copied between Ka - 1 zero slices on each side, and _window_product
+    multiplies a's reversed flat slices into its windows; nothing is
+    pruned.  Run under np.errstate(over="ignore", invalid="ignore")."""
     ka, n, _ = a.shape
     kb = len(b)
     if not ka or not kb:
         return np.zeros((0, n, n), dtype=complex)
-    prod = (a.reshape(ka * n, n) @ b.transpose(1, 0, 2).reshape(n, kb * n)).reshape(ka, n, kb, n)
-    out = np.zeros((ka + kb - 1, n, n), dtype=complex)
-    if ka <= kb:
-        for i in range(ka):
-            out[i:i + kb] += prod[i].transpose(1, 0, 2)
-    else:
-        for j in range(kb):
-            out[j:j + ka] += prod[:, :, j]
-    _check_moduli(out)
+    padded = np.zeros((kb + 2 * (ka - 1), n, n), dtype=complex)
+    padded[ka - 1:ka - 1 + kb] = b
+    out = np.empty((ka + kb - 1, n, n), dtype=complex)
+    _window_product(_reversed_flat(a), padded, out)
     return out
+
+
+def _reversed_flat(a: np.ndarray) -> np.ndarray:
+    """The slices a[K-1], ..., a[0] of a (K, n, n) array side by side,
+    shape (n, K n); one (count, K, n, n) stack gives (count, n, K n)."""
+    *lead, k, n, _ = a.shape
+    return a[..., ::-1, :, :].swapaxes(-3, -2).reshape(*lead, n, k * n)
+
+
+def _window_product(flat: np.ndarray, padded: np.ndarray, out: np.ndarray) -> None:
+    """The product kernel: out[w] = sum_i a[i] b[w - i] for the (K, n, n)
+    array a whose _reversed_flat is ``flat`` and the array b stored
+    between K - 1 zero slices on each side in ``padded``, a contiguous
+    array of len(out) + K - 1 slices.  The Toeplitz windows padded[w:w +
+    K] of all w are one strided view of shape (len(out), K n, n), no
+    copy, as a slice's stride is n times a row's, and one stacked matmul
+    multiplies flat into each of them.  The result is checked with
+    _check_moduli.  Run under np.errstate(over="ignore", invalid="ignore")."""
+    windows = np.ndarray((len(out), flat.shape[1], out.shape[2]), complex, padded, 0, padded.strides)
+    np.matmul(flat, windows, out)
+    _check_moduli(out)
 
 
 def _check_moduli(c: np.ndarray) -> None:

@@ -110,6 +110,21 @@ def reference_matrix(rows):
     return lo, c
 
 
+def reference_product(a, b):
+    """The coefficients of the product of the (Ka, n, n) and (Kb, n, n)
+    coefficient arrays a and b, term by term: a[i] @ b[j] added into
+    slice i + j, shape (Ka + Kb - 1, n, n), or (0, n, n) when either is
+    zero.  An oracle for laurent._product."""
+    n = a.shape[1]
+    if not len(a) or not len(b):
+        return np.zeros((0, n, n), dtype=complex)
+    out = np.zeros((len(a) + len(b) - 1, n, n), dtype=complex)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] @ b[j]
+    return out
+
+
 def reference_poly_terms(coeffs):
     """The terms LaurentPoly(coeffs) stores, by the plain two-pass rule:
     check and sum every term, then check every sum.  An oracle for the

@@ -92,16 +92,40 @@ def test_iterate_negative_is_inverse(any_torus, rng):
         assert matrices_close(pos @ neg, LaurentMatrix.identity(2), 1e-8)
 
 
+def _translate_chain(f, m):
+    """A(q^(m-1) u) ... A(u), or A(q^m u)^-1 ... A(q^-1 u)^-1 of one
+    inverse, one substitution and one @ at a time: its lowest exponent
+    and coefficient bytes."""
+    a, q = f.A, f.torus.q
+    base = a if m > 0 else a.inverse_monomial_det()
+    want = base if m > 0 else base.substitute_scaled(q ** -1)
+    for i in range(1, abs(m)):
+        want = base.substitute_scaled(q ** i if m > 0 else q ** (-1 - i)) @ want
+    return want._lo, want._c.tobytes()
+
+
 def test_iterate_is_the_product_of_translates_byte_for_byte(any_torus, rng):
-    # A(q^(m-1) u) ... A(u), and A(q^m u)^-1 ... A(q^-1 u)^-1 of one inverse
-    f = random_factor(rng, any_torus, 3)
-    q, inv = any_torus.q, f.A.inverse_monomial_det()
-    for m in (-4, -3, -2, -1, 1, 2, 3, 4):
-        want = f.A if m > 0 else inv.substitute_scaled(q ** -1)
-        for i in range(1, abs(m)):
-            want = (f.A.substitute_scaled(q ** i) if m > 0 else inv.substitute_scaled(q ** (-1 - i))) @ want
+    # single exponent factors (one slice) and mixed ones on [-1, 1] and
+    # [-2, 2] (up to five), n = 1..8, m = +-1..8
+    for n in range(1, 9):
+        for f in (random_single_exponent_factor(rng, any_torus, n),
+                  random_factor(rng, any_torus, n, -1, 1), random_factor(rng, any_torus, n, -2, 2)):
+            for m in (*range(-8, 0), *range(1, 9)):
+                got = iterate(f, m)
+                assert (got._lo, got._c.tobytes()) == _translate_chain(f, m), (n, len(f.A._c), m)
+
+
+def test_iterate_trims_an_end_slice_that_underflows_as_the_product_does():
+    # on tau = i, |q| = exp(-2 pi): the top coefficient q^(m (m - 1)) of
+    # A(m, u), at u^(2m), underflows to 0 from m = 12 on, and so the
+    # running product loses its u^24 slice partway; from m = 61 on, the
+    # u^2 slice of the translate A(q^60 u) underflows to 0 too
+    u = LaurentPoly.monomial
+    f = FactorOfAutomorphy(Torus(1j), LaurentMatrix([[LaurentPoly({0: 2, 2: 1}), u(1)], [0, 1]]))
+    for m in (11, 12, 14, 62):
         got = iterate(f, m)
-        assert (got._lo, got._c.tobytes()) == (want._lo, want._c.tobytes())
+        assert (got._lo, got._c.tobytes()) == _translate_chain(f, m)
+        assert (got._lo, len(got._c)) == (0, min(2 * m, 22) + 1)
 
 
 def test_negative_iterates_of_a_mixed_factor(torus):

@@ -39,6 +39,7 @@ from helpers import (
     reference_matrix,
     reference_pivot_det,
     reference_poly_terms,
+    reference_product,
 )
 
 
@@ -529,7 +530,9 @@ def test_substitution_to_a_finite_part_and_an_infinite_modulus_raises():
     with pytest.raises(ValueError) as exc:
         m.substitute_scaled(1.5e108 * (1 + 1j))
     assert str(exc.value) == text
-    translates, failure = m._translate_stack([1, 1.5e108 * (1 + 1j)])
+    # _translate_stack runs under its callers' np.errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        translates, failure = m._translate_stack([1, 1.5e108 * (1 + 1j)])
     assert len(translates) == 1 and str(failure) == text
     # a modulus near 1e160, whose square is past the double range, is kept
     assert m.substitute_scaled(1e-40 + 1e-40j).max_coeff() == pytest.approx(math.sqrt(2) * 1e160)
@@ -725,6 +728,60 @@ def test_products_with_the_zero_matrix_are_zero(rng):
         assert got.n == n and got._c.shape == (0, n, n)
 
 
+@st.composite
+def _product_operands(draw):
+    """Coefficient arrays a (Ka, n, n) and b (Kb, n, n), n = 1..9 and
+    Ka, Kb = 0..7, with each end slice of either exactly zero or not."""
+    n, ka, kb = draw(st.integers(1, 9)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for k in (ka, kb):
+        c = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        for end in (0, -1):
+            if k and draw(st.booleans()):
+                c[end] = 0
+        out.append(c)
+    return tuple(out)
+
+
+def _operands(n, ka, kb, zero_ends=()):
+    rng = np.random.default_rng(n * 64 + ka * 8 + kb)
+    a, b = (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)) for k in (ka, kb))
+    for c, end in zero_ends:
+        (a, b)[c][end] = 0
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_operands())
+@example(_operands(3, 7, 2))  # Ka > Kb
+@example(_operands(3, 2, 7))  # Ka < Kb
+@example(_operands(9, 7, 7, [(0, 0), (0, -1), (1, 0), (1, -1)]))
+@example(_operands(1, 1, 7, [(1, -1)]))
+@example(_operands(4, 0, 3))
+@example(_operands(4, 3, 0))
+def test_product_matches_the_term_by_term_reference(operands):
+    a, b = operands
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = laurent._product(a, b)
+    want = reference_product(a, b)
+    assert got.shape == want.shape
+    # each coefficient is a sum of Ka n products: the usual bound for
+    # summation error, against the same sum of the moduli
+    bound = reference_product(np.abs(a), np.abs(b)).real
+    assert (np.abs(got - want) <= 8 * (a.shape[0] * a.shape[1] + 1) * np.finfo(float).eps * bound).all()
+
+
+def test_product_shapes_and_errors_are_pinned():
+    a = np.ones((3, 2, 2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert laurent._product(a[:0], a).shape == (0, 2, 2)
+        assert laurent._product(a, a[:0]).shape == (0, 2, 2)
+        with pytest.raises(ValueError) as exc:
+            laurent._product(a * 1e200, a * 1e200)
+    assert str(exc.value) == "non-finite coefficient in a 2 x 2 matrix"
+
+
 def test_det_with_a_zero_row_is_zero():
     assert LaurentMatrix([[0, 0], [LaurentPoly.monomial(1), 1]]).det().is_zero
 
@@ -757,7 +814,9 @@ def test_translates_stop_at_the_first_failing_scale():
         (1e-8, OverflowError, "complex exponentiation"),
         (1e-10, ZeroDivisionError, "0.0 to a negative or complex power"),
     ):
-        translates, failure = m._translate_stack([1, 1.5, scale, 0])
+        # _translate_stack runs under its callers' np.errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            translates, failure = m._translate_stack([1, 1.5, scale, 0])
         assert len(translates) == 2
         assert (type(failure), str(failure)) == (kind, text)
         with pytest.raises(kind, match=re.escape(text)):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from torusbundles import LaurentMatrix
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("seed_sweep.py", ["--workload", "classify", "--seeds", "0:2"], "classify rounds of seeds 0:2"),
     ("jordan_sweep.py", ["--count", "3"], "26 calls on 3 structures: 2 ArithmeticError, 1 NotNilpotent, 3 descriptor, 8 none, 6 partition, 6 witness"),
     ("det_digest.py", ["--rmax", "2"], "2280 results on 760 grid points: 57 ValueError, 2223 factors"),
+    ("iterate_drift.py", ["--count", "1"], "A(3), A(5), A(8) of 14 factors against a clongdouble product"),
 ])
 def test_script_runs_and_prints_its_header(script, args, header):
     assert _run(script, args).splitlines()[0] == header
@@ -106,3 +109,20 @@ def test_det_digest_exits_1_when_a_normal_form_blames_invertibility(monkeypatch,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("tau 1j, a (0.6+0.2j), r 1, d -8: normal_form: "
                         "ValueError: generator fails the sampled invertibility check (|det A(1)| = inf)")
+
+
+def test_iterate_drift_exits_1_when_an_iterate_drifts_past_the_gate(monkeypatch, capsys):
+    drift = _load("iterate_drift")
+    assert drift.main(["--count", "1"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[1].split()[2]) < 1e-13
+    iterate = drift.iterate
+
+    def off(f, m):
+        # every coefficient off by 1e-9 of itself, as a doubling product drifted
+        got = iterate(f, m)
+        return LaurentMatrix._from_coeffs(got._lo, got._c * (1 + 1e-9))
+
+    monkeypatch.setattr(drift, "iterate", off)
+    assert drift.main(["--count", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[1].split()[2]) > 1e-10 and lines[-1] == "drift above the gate"
